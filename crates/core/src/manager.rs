@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use streamloc_engine::{
-    Counter, EdgeId, Grouping, Key, KeyRouter, MetricsRegistry, PoId, PoiId, ReconfigInProgress,
-    ReconfigPlan, Simulation,
+    Counter, EdgeId, Grouping, HashRouter, Key, KeyRouter, MetricsRegistry, PoId, PoiId,
+    ReconfigInProgress, ReconfigPlan, Simulation,
 };
 use streamloc_partition::{
     Graph, GreedyPartitioner, HashPartitioner, HierarchicalPartitioner, MultilevelPartitioner,
@@ -196,7 +196,7 @@ pub struct Manager {
     /// Stateful operators that receive routing tables, with their
     /// fields in-edges.
     routed: Vec<(PoId, Vec<EdgeId>)>,
-    /// Last generated table per routed operator (by position in
+    /// Last deployed table per routed operator (by position in
     /// `routed`).
     tables: Vec<RoutingTable>,
     /// Shared `(hash, stale)` fallback counter handles attached to
@@ -366,7 +366,7 @@ impl Manager {
         self.hops.len()
     }
 
-    /// The last routing table generated for `po`, if `po` is routed by
+    /// The routing table last deployed for `po`, if `po` is routed by
     /// this manager.
     #[must_use]
     pub fn table_for(&self, po: PoId) -> Option<&RoutingTable> {
@@ -406,8 +406,9 @@ impl Manager {
         if sim.manager_down() {
             return Err(ReconfigInProgress);
         }
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
         sim.start_reconfiguration(plan)?;
+        self.tables = tables;
         self.charge_metrics_upload(sim);
         for hop in &self.hops {
             for tracker in &hop.trackers {
@@ -450,13 +451,14 @@ impl Manager {
         if sim.manager_down() {
             return Err(ReconfigInProgress);
         }
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
         if summary.locality_gain() < policy.min_locality_gain
             && summary.imbalance_gain() < policy.min_imbalance_gain
         {
             return Ok(None);
         }
         sim.start_reconfiguration(plan)?;
+        self.tables = tables;
         self.charge_metrics_upload(sim);
         for hop in &self.hops {
             for tracker in &hop.trackers {
@@ -533,10 +535,11 @@ impl Manager {
     /// "optimized routing tables can be loaded at the start of the
     /// application", §3.4).
     pub fn apply_offline(&mut self, sim: &mut Simulation) -> ReconfigSummary {
-        let (summary, plan) = self.compute(sim);
+        let (summary, plan, tables) = self.compute(sim);
         for (poi, edge, router) in plan.routers {
             sim.set_poi_router(poi, edge, router);
         }
+        self.tables = tables;
         for hop in &self.hops {
             for tracker in &hop.trackers {
                 tracker.reset();
@@ -545,8 +548,10 @@ impl Manager {
         summary
     }
 
-    /// Builds the key graph, partitions it and assembles the plan.
-    fn compute(&mut self, sim: &Simulation) -> (ReconfigSummary, ReconfigPlan) {
+    /// Builds the key graph, partitions it and assembles the plan,
+    /// returning the new tables for the caller to record once they are
+    /// deployed.
+    fn compute(&mut self, sim: &Simulation) -> (ReconfigSummary, ReconfigPlan, Vec<RoutingTable>) {
         let servers = sim.cluster().servers;
         let mut builder = Graph::builder();
         let mut vmap: HashMap<(PoId, Key), VertexId> = HashMap::new();
@@ -698,7 +703,8 @@ impl Manager {
         let mut routers: Vec<(PoiId, EdgeId, Arc<dyn KeyRouter>)> = Vec::new();
         let mut migrations = Vec::new();
         let mut table_entries = 0usize;
-        for (slot, (_po, in_edges)) in self.routed.iter().enumerate() {
+        let mut tables = Vec::with_capacity(self.routed.len());
+        for (slot, (po, in_edges)) in self.routed.iter().enumerate() {
             let mut table = RoutingTable::from_assignments(
                 assignments[slot].iter().map(|(&k, &i)| (k, i)),
             );
@@ -708,7 +714,18 @@ impl Manager {
             }
             table_entries += table.len();
             if let Some(&first_edge) = in_edges.first() {
-                migrations.extend(sim.migrations_for(first_edge, &assignments[slot]));
+                // A key that drops out of the table falls back to hash
+                // routing, so its state must move to its hash owner
+                // too — otherwise a later table that brings the key
+                // back would migrate a fresh copy over the stale one.
+                let targets = &mut assignments[slot];
+                let parallelism = sim.poi_ids(*po).len();
+                for (key, _) in self.tables[slot].iter() {
+                    targets
+                        .entry(key)
+                        .or_insert_with(|| HashRouter.route(key, parallelism));
+                }
+                migrations.extend(sim.migrations_for(first_edge, targets));
             }
             let shared: Arc<dyn KeyRouter> = Arc::new(table.clone());
             for &edge in in_edges {
@@ -717,7 +734,7 @@ impl Manager {
                     routers.push((poi, edge, Arc::clone(&shared)));
                 }
             }
-            self.tables[slot] = table;
+            tables.push(table);
         }
 
         let summary = ReconfigSummary {
@@ -748,6 +765,7 @@ impl Manager {
                 routers,
                 migrations,
             },
+            tables,
         )
     }
 }
@@ -973,6 +991,94 @@ mod tests {
             cold.expected_locality
         );
         assert!(warm.expected_imbalance < 1.25, "{warm:?}");
+    }
+
+    #[test]
+    fn key_leaving_the_table_keeps_its_state() {
+        // Phase 0 emits A keys 0..12, phase 1 keys 12..24, then phase 0
+        // again: the second table drops keys 0..12 (they hash-route),
+        // and the third brings them back. No count may be lost at any
+        // wave, so the dropped keys' state must follow them to their
+        // hash owners.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let n = 3;
+        let keys = 12u64;
+        let phase = Arc::new(AtomicU64::new(0));
+        let mut b = Topology::builder();
+        let gen_phase = Arc::clone(&phase);
+        let s = b.source("S", n, SourceRate::PerSecond(20_000.0), move |i| {
+            let phase = Arc::clone(&gen_phase);
+            let mut c = i as u64;
+            Box::new(move || {
+                c = c.wrapping_add(0x9e37_79b9);
+                let ka = c % keys + phase.load(Ordering::Relaxed) * keys;
+                Some(Tuple::new([Key::new(ka), Key::new(ka + 1_000)], 64))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        let bb = b.stateful("B", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(a, bb, Grouping::fields(1));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, n);
+        let mut sim = Simulation::new(
+            topo,
+            ClusterSpec::lan_10g(n),
+            placement,
+            SimConfig::default(),
+        );
+        let mut mgr = Manager::attach(&mut sim, ManagerConfig::default());
+
+        let counted = |sim: &Simulation, po: PoId| -> u64 {
+            sim.poi_ids(po)
+                .into_iter()
+                .flat_map(|poi| sim.poi_state(poi).values().filter_map(|v| v.as_count()))
+                .sum()
+        };
+        let phases = [0, 1, 0];
+        let mut dropped_keys = 0;
+        for round in 0..phases.len() {
+            sim.run(20);
+            let before = mgr.table_for(a).unwrap().len();
+            // An estimate deploys nothing, so it must not replace the
+            // table the next wave diffs against.
+            let _ = mgr.estimate(&sim);
+            let summary = mgr.reconfigure(&mut sim).unwrap();
+            // The statistics reset with the wave: from here on the
+            // stream belongs to the next round's table.
+            phase.store(
+                phases.get(round + 1).copied().unwrap_or(0),
+                Ordering::Relaxed,
+            );
+            if round == 1 {
+                dropped_keys = before;
+                assert!(
+                    mgr.table_for(a)
+                        .unwrap()
+                        .iter()
+                        .all(|(k, _)| k.value() >= keys),
+                    "phase-1 table still lists phase-0 keys"
+                );
+            }
+            assert!(summary.table_entries > 0);
+            let mut settled = false;
+            for _ in 0..200 {
+                sim.step();
+                if !sim.reconfig_active() && sim.in_flight() == 0 {
+                    settled = true;
+                    break;
+                }
+            }
+            assert!(settled, "round {round}: wave did not settle");
+            let emitted: u64 = sim.metrics().windows().iter().map(|w| w.emitted).sum();
+            assert_eq!(counted(&sim, a), emitted, "round {round}: counts lost at A");
+            assert_eq!(
+                counted(&sim, bb),
+                emitted,
+                "round {round}: counts lost at B"
+            );
+        }
+        assert!(dropped_keys > 0, "the first table listed no key to drop");
     }
 
     #[test]

@@ -39,6 +39,8 @@ use crate::reconfig::{ReconfigError, WaveConfig};
 
 /// Per-edge router updates carried by a `Reconf` message.
 type RouterUpdates = Vec<(EdgeId, Arc<dyn KeyRouter>)>;
+/// Keys and their moved state carried by one ⑥ `Migrate` message.
+type MigratedKeys = Vec<(Key, Option<StateValue>)>;
 use crate::router::{DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
@@ -62,11 +64,10 @@ enum Msg {
     },
     /// ⑤ One predecessor instance (or the coordinator) has switched.
     Propagate,
-    /// ⑥ Migrated state for a key this instance now owns.
-    Migrate {
-        key: Key,
-        state: Option<StateValue>,
-    },
+    /// ⑥ Migrated state for the keys this instance now owns, bundled
+    /// per sender: one message per destination per wave, in the order
+    /// the sender's plan lists the keys.
+    Migrate(MigratedKeys),
     /// End of stream from one predecessor instance.
     Eos,
     /// Snapshot request: reply with a clone of the keyed state.
@@ -148,11 +149,15 @@ pub struct LiveConfig {
     /// Data-plane batching: tuples per destination are coalesced into
     /// `Msg::Batch` sends of up to this many tuples. Buffers are
     /// flushed when full, whenever the worker would otherwise block on
-    /// an empty inbox, and on every control-plane boundary (staging a
-    /// `Reconf`, forwarding `Propagate`, answering a `StateProbe`,
-    /// sending `Eos`) so per-sender FIFO ordering relative to control
-    /// messages is preserved. `0` or `1` disables batching (one
-    /// `Msg::Data` per tuple, the pre-batching behavior).
+    /// an empty inbox, whenever a source has routed a staged batch and
+    /// the buffer's receiver is parked on an empty inbox (send buffers
+    /// are work-conserving: no tuple waits for a batch to fill while
+    /// its receiver idles), and on every control-plane boundary
+    /// (staging a `Reconf`, forwarding `Propagate`, answering a
+    /// `StateProbe`, sending `Eos`) so per-sender FIFO ordering
+    /// relative to control messages is preserved. `0` or `1` disables
+    /// batching (one `Msg::Data` per tuple, the pre-batching
+    /// behavior).
     pub batch_size: usize,
     /// Columnar data plane: batches stay first-class *inside* the
     /// workers, not only on the channel. Sources and operators route
@@ -207,6 +212,7 @@ struct LiveHot {
     batch_control_flushes: Counter,
     batch_drops: Counter,
     batch_dropped_tuples: Counter,
+    columnar_fallback_batches: Counter,
 }
 
 impl LiveHot {
@@ -249,6 +255,10 @@ impl LiveHot {
                     "live_batch_dropped_tuples_total",
                     "tuples lost inside fault-dropped Batch messages",
                 ),
+                columnar_fallback_batches: reg.counter(
+                    "live_columnar_fallback_batches_total",
+                    "batches processed per tuple because keys were pending or departed",
+                ),
             },
             None => Self {
                 tuples_routed: Counter::detached(),
@@ -260,6 +270,7 @@ impl LiveHot {
                 batch_control_flushes: Counter::detached(),
                 batch_drops: Counter::detached(),
                 batch_dropped_tuples: Counter::detached(),
+                columnar_fallback_batches: Counter::detached(),
             },
         }
     }
@@ -293,6 +304,11 @@ struct WorkerShared {
     /// hot path pays one relaxed load, never a mutex, unless batch
     /// faults are actually armed.
     batch_faults: AtomicBool,
+    /// One flag per instance, raised while the instance is blocked on
+    /// an empty inbox (after its idle flush) and lowered when it
+    /// wakes. Sources read them to hand partial batches to receivers
+    /// that have nothing else to do (the channel has no `len()`).
+    parked: Vec<AtomicBool>,
     /// Data-plane batch size (≤ 1 disables batching).
     batch_size: usize,
     /// Columnar batch processing (see [`LiveConfig::columnar`]).
@@ -411,6 +427,20 @@ impl WorkerCtx {
         }
         if control && flushed {
             shared.hot.batch_control_flushes.inc();
+        }
+    }
+
+    /// Sends every non-empty buffer whose receiver is parked on an
+    /// empty inbox: holding those tuples for a fuller batch only adds
+    /// latency, since the receiver has no backlog to amortize the send
+    /// against. A busy receiver's buffer keeps filling to `batch_size`.
+    fn flush_parked(&mut self, shared: &WorkerShared) {
+        for dest_idx in 0..self.out_buf.len() {
+            if !self.out_buf[dest_idx].is_empty() && shared.parked[dest_idx].load(Ordering::Relaxed)
+            {
+                let batch = std::mem::take(&mut self.out_buf[dest_idx]);
+                send_batch(shared, dest_idx, batch);
+            }
         }
     }
 
@@ -773,6 +803,7 @@ impl LiveRuntime {
             poi_base: poi_base.clone(),
             fault: Mutex::new(None),
             batch_faults: AtomicBool::new(false),
+            parked: (0..n_instances).map(|_| AtomicBool::new(false)).collect(),
             batch_size: config.batch_size,
             columnar: config.columnar,
             hot: LiveHot::new(config.metrics.as_deref()),
@@ -1306,7 +1337,7 @@ fn source_loop(
                     ctx.discard_outputs();
                     down = true;
                 }
-                Msg::Data { .. } | Msg::Batch { .. } | Msg::Migrate { .. } | Msg::Eos => {}
+                Msg::Data(_) | Msg::Batch(_) | Msg::Migrate(_) | Msg::Eos => {}
             }
         }
         if down || shared.stop.load(Ordering::Relaxed) {
@@ -1335,6 +1366,10 @@ fn source_loop(
             }
         }
         ctx.route_out_batch(&shared, &mut stage);
+        // A source never blocks on its inbox — its generator blocks
+        // instead — so the idle trigger never fires here; without this
+        // a partial buffer would wait for `batch_size` more tuples.
+        ctx.flush_parked(&shared);
         if exhausted {
             break;
         }
@@ -1369,8 +1404,7 @@ fn source_loop(
             Msg::StateProbe(reply) => {
                 let _ = reply.send(HashMap::new());
             }
-            Msg::Data { .. } | Msg::Batch { .. } | Msg::Migrate { .. } | Msg::Eos
-            | Msg::Crash { .. } => {}
+            Msg::Data(_) | Msg::Batch(_) | Msg::Migrate(_) | Msg::Eos | Msg::Crash { .. } => {}
         }
     }
     // The last partial batches must precede the end-of-stream tokens
@@ -1612,16 +1646,17 @@ fn operator_loop(
             Err(crossbeam::channel::TryRecvError::Disconnected) => break,
             Err(crossbeam::channel::TryRecvError::Empty) => {
                 ctx.flush_outputs(&shared, false);
-                if draining {
-                    match rx.recv_timeout(Duration::from_millis(500)) {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    }
+                let parked = &shared.parked[my_idx];
+                parked.store(true, Ordering::Relaxed);
+                let woke = if draining {
+                    rx.recv_timeout(Duration::from_millis(500)).ok()
                 } else {
-                    match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    }
+                    rx.recv().ok()
+                };
+                parked.store(false, Ordering::Relaxed);
+                match woke {
+                    Some(m) => m,
+                    None => break,
                 }
             }
         };
@@ -1692,9 +1727,9 @@ fn operator_loop(
                 // Columnar dispatch requires a quiet instance: with
                 // keys pending migration or departed, individual
                 // tuples may need buffering/forwarding, so the batch
-                // drops to the per-tuple path. Neither map mutates
-                // while a batch is processed, so the guard holds for
-                // the whole batch.
+                // drops to the per-tuple path (and is counted as a
+                // fallback). Neither map mutates while a batch is
+                // processed, so the guard holds for the whole batch.
                 if shared.columnar && pending.is_empty() && departed.is_empty() {
                     process_batch(
                         &tuples,
@@ -1709,6 +1744,9 @@ fn operator_loop(
                     );
                     processed += tuples.len() as u64;
                 } else {
+                    if shared.columnar {
+                        shared.hot.columnar_fallback_batches.inc();
+                    }
                     for tuple in tuples {
                         if process_one(
                             tuple,
@@ -1777,6 +1815,12 @@ fn operator_loop(
                         for (edge, router) in routers {
                             ctx.overrides.insert(edge.index(), router);
                         }
+                        // ⑥ bundled per destination: one message per
+                        // peer, so a wave never needs more free inbox
+                        // slots at a peer than it has destinations.
+                        // The injector still decides per key, in plan
+                        // order.
+                        let mut bundles: Vec<(usize, MigratedKeys)> = Vec::new();
                         for (key, dest) in send {
                             let moved = state.remove(&key);
                             departed.insert(key, dest);
@@ -1790,14 +1834,21 @@ fn operator_loop(
                             // A dropped ⑥ loses the moved state (at-
                             // most-once); the new owner adopts the key
                             // with fresh state when it drains.
-                            if !matches!(fate, ControlFate::Drop) {
-                                shared.hot.migrations_sent.inc();
-                                shared.hot.migration_bytes.add(
-                                    moved.as_ref().map_or(0, StateValue::size_bytes),
-                                );
-                                let _ = shared.inboxes[dest]
-                                    .send(Msg::Migrate { key, state: moved });
+                            if matches!(fate, ControlFate::Drop) {
+                                continue;
                             }
+                            shared.hot.migrations_sent.inc();
+                            shared
+                                .hot
+                                .migration_bytes
+                                .add(moved.as_ref().map_or(0, StateValue::size_bytes));
+                            match bundles.iter_mut().find(|(d, _)| *d == dest) {
+                                Some((_, keys)) => keys.push((key, moved)),
+                                None => bundles.push((dest, vec![(key, moved)])),
+                            }
+                        }
+                        for (dest, keys) in bundles {
+                            let _ = shared.inboxes[dest].send(Msg::Migrate(keys));
                         }
                         for &succ in &successors {
                             let _ = shared.inboxes[succ].send(Msg::Propagate);
@@ -1806,11 +1857,14 @@ fn operator_loop(
                     }
                 }
             }
-            Msg::Migrate { key, state: moved } => {
-                if let Some(moved) = moved {
-                    state.insert(key, moved);
-                }
-                if let Some(buffered) = pending.remove(&key) {
+            Msg::Migrate(moves) => {
+                for (key, moved) in moves {
+                    if let Some(moved) = moved {
+                        state.insert(key, moved);
+                    }
+                    let Some(buffered) = pending.remove(&key) else {
+                        continue;
+                    };
                     for tuple in buffered {
                         if process_one(
                             tuple,
@@ -1927,7 +1981,7 @@ fn operator_loop(
 mod tests {
     use super::*;
     use crate::operator::CountOperator;
-    use crate::router::ModuloRouter;
+    use crate::router::{ModuloRouter, ShiftedRouter};
     use crate::topology::Topology;
 
     /// n sources emitting `total/n` tuples each of (c % keys, c % keys).
@@ -1961,6 +2015,62 @@ mod tests {
             }
         }
         out
+    }
+
+    /// [`chain`] with sources rate-limited to 50k tuples/s each, so
+    /// the stream comfortably outlives a reconfiguration wave.
+    fn paced_chain(n: usize, keys: u64, total: u64) -> Topology {
+        let mut b = Topology::builder();
+        let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
+            let mut c = i as u64;
+            let mut left = total / n as u64;
+            Box::new(move || {
+                if left == 0 {
+                    return None;
+                }
+                left -= 1;
+                c = c.wrapping_add(0x9e37_79b9);
+                let k = c % keys;
+                Some(Tuple::new([Key::new(k), Key::new(k)], 0))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        let bb = b.stateful("B", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(a, bb, Grouping::fields(1));
+        b.build().unwrap()
+    }
+
+    /// Swaps hop A→B of a [`chain`] to modulo routing with the matching
+    /// migrations: the new owner of key k is instance k % n, the old
+    /// one is by hash.
+    fn hash_to_modulo(n: usize, keys: u64) -> LiveReconfig {
+        let migrations: Vec<(PoId, Key, usize, usize)> = (0..keys)
+            .map(|k| {
+                let key = Key::new(k);
+                let old = HashRouter.route(key, n) as usize;
+                let new = (k % n as u64) as usize;
+                (PoId(2), key, old, new)
+            })
+            .filter(|&(_, _, old, new)| old != new)
+            .collect();
+        assert!(!migrations.is_empty());
+        LiveReconfig {
+            routers: vec![(PoId(1), EdgeId(1), Arc::new(ModuloRouter))],
+            migrations,
+        }
+    }
+
+    /// Polls `cond` every millisecond for up to `limit`.
+    fn wait_for(limit: Duration, cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + limit;
+        while !cond() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
     }
 
     #[test]
@@ -2025,48 +2135,11 @@ mod tests {
         let n = 3;
         let keys = 9u64;
         let total = 60_000u64;
-        // Rate-limit sources so the stream comfortably outlives the
-        // reconfiguration wave.
-        let mut b = Topology::builder();
-        let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
-            let mut c = i as u64;
-            let mut left = total / n as u64;
-            Box::new(move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                c = c.wrapping_add(0x9e37_79b9);
-                let k = c % keys;
-                Some(Tuple::new([Key::new(k), Key::new(k)], 0))
-            })
-        });
-        let a = b.stateful("A", n, CountOperator::factory());
-        let bb = b.stateful("B", n, CountOperator::factory());
-        b.connect(s, a, Grouping::fields(0));
-        b.connect(a, bb, Grouping::fields(1));
-        let topo = b.build().unwrap();
+        let topo = paced_chain(n, keys, total);
         let placement = Placement::aligned(&topo, n);
         let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
         std::thread::sleep(std::time::Duration::from_millis(20));
-
-        // Swap hop A→B to modulo routing with the matching migrations:
-        // new owner of key k is instance k % n; old owner is by hash.
-        let hash = HashRouter;
-        let migrations: Vec<(PoId, Key, usize, usize)> = (0..keys)
-            .map(|k| {
-                let key = Key::new(k);
-                let old = hash.route(key, n) as usize;
-                let new = (k % n as u64) as usize;
-                (PoId(2), key, old, new)
-            })
-            .filter(|&(_, _, old, new)| old != new)
-            .collect();
-        assert!(!migrations.is_empty());
-        rt.reconfigure(LiveReconfig {
-            routers: vec![(PoId(1), EdgeId(1), Arc::new(ModuloRouter))],
-            migrations,
-        });
+        rt.reconfigure(hash_to_modulo(n, keys));
 
         let reports = rt.join();
         let b_counts = counts_of(&reports, PoId(2));
@@ -2094,25 +2167,7 @@ mod tests {
         let n = 3;
         let keys = 9u64;
         let total = 40_000u64;
-        let mut b = Topology::builder();
-        let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
-            let mut c = i as u64;
-            let mut left = total / n as u64;
-            Box::new(move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                c = c.wrapping_add(0x9e37_79b9);
-                let k = c % keys;
-                Some(Tuple::new([Key::new(k), Key::new(k)], 0))
-            })
-        });
-        let a = b.stateful("A", n, CountOperator::factory());
-        let bb = b.stateful("B", n, CountOperator::factory());
-        b.connect(s, a, Grouping::fields(0));
-        b.connect(a, bb, Grouping::fields(1));
-        let topo = b.build().unwrap();
+        let topo = paced_chain(n, keys, total);
         let placement = Placement::aligned(&topo, n);
         let registry = Arc::new(MetricsRegistry::new());
         let rt = LiveRuntime::start(
@@ -2126,21 +2181,7 @@ mod tests {
             },
         );
         std::thread::sleep(std::time::Duration::from_millis(30));
-
-        let hash = HashRouter;
-        let migrations: Vec<(PoId, Key, usize, usize)> = (0..keys)
-            .map(|k| {
-                let key = Key::new(k);
-                let old = hash.route(key, n) as usize;
-                let new = (k % n as u64) as usize;
-                (PoId(2), key, old, new)
-            })
-            .filter(|&(_, _, old, new)| old != new)
-            .collect();
-        rt.reconfigure(LiveReconfig {
-            routers: vec![(PoId(1), EdgeId(1), Arc::new(ModuloRouter))],
-            migrations,
-        });
+        rt.reconfigure(hash_to_modulo(n, keys));
         let reports = rt.join();
 
         // Sampling must not perturb the data plane.
@@ -2405,6 +2446,183 @@ mod tests {
         let get = |name: &str| snap.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         assert_eq!(get("live_batch_sends_total"), Some(0));
         assert_eq!(get("live_batch_tuples_total"), Some(0));
+    }
+
+    #[test]
+    fn columnar_fallback_counter_flags_post_wave_batches() {
+        let fallbacks = |wave: bool| {
+            let metrics = Arc::new(MetricsRegistry::new());
+            let topo = paced_chain(3, 9, 30_000);
+            let placement = Placement::aligned(&topo, 3);
+            let config = LiveConfig {
+                metrics: Some(Arc::clone(&metrics)),
+                ..LiveConfig::default()
+            };
+            let rt = LiveRuntime::start(topo, placement, 3, config);
+            std::thread::sleep(Duration::from_millis(20));
+            if wave {
+                rt.reconfigure(hash_to_modulo(3, 9));
+            }
+            let _ = rt.join();
+            metrics
+                .snapshot()
+                .into_iter()
+                .find(|(n, _)| n == "live_columnar_fallback_batches_total")
+                .map(|(_, v)| v)
+                .expect("counter registered")
+        };
+        assert_eq!(
+            fallbacks(false),
+            0,
+            "a quiet run never leaves the columnar path"
+        );
+        // Instances that shipped state keep their departed keys until
+        // the next wave, so every later batch takes the per-tuple path.
+        assert!(
+            fallbacks(true) > 0,
+            "post-wave fallback batches not counted"
+        );
+    }
+
+    /// An operator that only tallies the tuples it processes.
+    struct Tally(Arc<AtomicU64>);
+
+    impl Operator for Tally {
+        fn process(&mut self, _tuple: Tuple, _ctx: &mut OpContext<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn source_hands_partial_batches_to_parked_receivers() {
+        // One stage of 64 tuples split over two receivers fills neither
+        // send buffer; the generator then blocks. Both receivers are
+        // parked on empty inboxes, so the source must hand the partial
+        // buffers over instead of holding them until the stream moves.
+        let (go_tx, go_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let gates = Mutex::new(Some((go_rx, release_rx)));
+        let seen = Arc::new(AtomicU64::new(0));
+        let tally = Arc::clone(&seen);
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+            let (go, release) = gates.lock().take().expect("one source instance");
+            let mut next = 0usize;
+            Box::new(move || {
+                if next == 0 {
+                    let _ = go.recv();
+                }
+                if next == 64 {
+                    let _ = release.recv();
+                    return None;
+                }
+                next += 1;
+                Some(Tuple::new([Key::new(next as u64 % 8)], 0))
+            })
+        });
+        let a = b.stateless(
+            "A",
+            2,
+            Box::new(move |_| Box::new(Tally(Arc::clone(&tally))) as Box<dyn Operator>),
+        );
+        b.connect(s, a, Grouping::fields(0));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, 2);
+        let rt = LiveRuntime::start(topo, placement, 2, LiveConfig::default());
+        let receivers = &rt.shared.parked[1..];
+        assert!(
+            wait_for(Duration::from_secs(5), || receivers
+                .iter()
+                .all(|p| p.load(Ordering::Relaxed))),
+            "receivers never parked"
+        );
+        go_tx.send(()).unwrap();
+        let delivered = wait_for(Duration::from_secs(5), || {
+            seen.load(Ordering::Relaxed) == 64
+        });
+        let before_release = seen.load(Ordering::Relaxed);
+        release_tx.send(()).unwrap();
+        let _ = rt.join();
+        assert!(
+            delivered,
+            "only {before_release} of 64 tuples reached the parked receivers \
+             while the generator blocked"
+        );
+        assert_eq!(seen.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn wave_migrating_more_keys_than_an_inbox_holds_completes() {
+        // Every key of A moves to the other instance: each peer ships
+        // 8× its inbox capacity in state while the other does the same.
+        // Per-key ⑥ messages would fill both inboxes and block both
+        // peers on each other; one bundle per destination cannot.
+        let capacity = 4;
+        let keys = 16 * capacity as u64;
+        // Keys 0..keys once each, then a slow trickle of one filler
+        // key, so the source keeps serving the control plane.
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::PerSecond(6_400.0), move |_| {
+            let mut next = 0u64;
+            Box::new(move || {
+                next += 1;
+                Some(Tuple::new([Key::new((next - 1).min(keys))], 0))
+            })
+        });
+        let a = b.stateful("A", 2, CountOperator::factory());
+        let edge = b.connect(s, a, Grouping::fields_with(0, Arc::new(ModuloRouter)));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, 2);
+        let config = LiveConfig {
+            channel_capacity: capacity,
+            ..LiveConfig::default()
+        };
+        let rt = LiveRuntime::start(topo, placement, 2, config);
+        let counted = || {
+            (0..2)
+                .filter_map(|i| rt.probe_state(a, i))
+                .map(|st| st.keys().filter(|k| k.value() < keys).count() as u64)
+                .sum::<u64>()
+        };
+        assert!(
+            wait_for(Duration::from_secs(5), || counted() == keys),
+            "the keys never reached A"
+        );
+
+        let migrations = (0..keys)
+            .map(|k| {
+                let old = (k % 2) as usize;
+                (a, Key::new(k), old, 1 - old)
+            })
+            .collect();
+        let wave = WaveConfig {
+            deadline_windows: 20,
+            max_retries: 0,
+            backoff: 1,
+        };
+        let result = rt.reconfigure_with_deadline(
+            LiveReconfig {
+                routers: vec![(PoId(0), edge, Arc::new(ShiftedRouter::new(1)))],
+                migrations,
+            },
+            wave,
+        );
+        // On failure the peers are wedged and `join` would hang.
+        assert_eq!(result, Ok(()), "the wave deadlocked on full inboxes");
+        rt.stop();
+        let reports = rt.join();
+        for r in reports.iter().filter(|r| r.po == a) {
+            let moved: Vec<_> = r.state.iter().filter(|(k, _)| k.value() < keys).collect();
+            assert_eq!(moved.len() as u64, keys / 2);
+            for (k, v) in moved {
+                assert_eq!(r.instance as u64, (k.value() + 1) % 2, "key {k} not moved");
+                assert_eq!(
+                    v.as_count(),
+                    Some(1),
+                    "key {k} lost or duplicated its count"
+                );
+            }
+        }
     }
 
     #[test]
