@@ -1,6 +1,5 @@
 //! Hot-path benchmarks: live data-plane throughput (unbatched vs
-//! batched vs columnar) and manager rebuild latency (cold vs
-//! warm-started).
+//! columnar) and manager rebuild latency (cold vs warm-started).
 //!
 //! These are the two budgets the paper treats as first-class: the
 //! per-tuple routing-decision cost (§2) and the time the manager
@@ -25,9 +24,10 @@ use streamloc_workloads::{SplitMix64, Zipf};
 /// One measured throughput run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputRun {
-    /// Data-plane mode: `"unbatched"`, `"batched"` (per-tuple
-    /// processing inside batches, the PR-3 path), or `"columnar"`
-    /// (run-length routing + batched operator dispatch).
+    /// Data-plane mode: `"unbatched"` (batch size 1: every tuple is
+    /// its own channel message) or `"columnar"` (batched sends). Both
+    /// process through the same columnar path; only the wire form
+    /// differs.
     pub mode: &'static str,
     /// Batch size the run used (1 = unbatched baseline).
     pub batch_size: usize,
@@ -39,7 +39,7 @@ pub struct ThroughputRun {
     pub batch_sends: u64,
 }
 
-/// Result of the batched-vs-unbatched live throughput bench.
+/// Result of the columnar-vs-unbatched live throughput bench.
 #[derive(Debug, Clone)]
 pub struct ThroughputBench {
     /// Tuples each run pushes through the pipeline.
@@ -63,17 +63,10 @@ impl ThroughputBench {
             .fold(0.0f64, f64::max)
     }
 
-    /// Best batched throughput over the unbatched baseline.
+    /// Best columnar throughput over the unbatched baseline.
     #[must_use]
     pub fn speedup(&self) -> f64 {
-        self.best("batched") / self.best("unbatched").max(f64::MIN_POSITIVE)
-    }
-
-    /// Best columnar throughput over the best per-tuple batched run —
-    /// what the run-length data plane buys beyond channel batching.
-    #[must_use]
-    pub fn columnar_speedup(&self) -> f64 {
-        self.best("columnar") / self.best("batched").max(f64::MIN_POSITIVE)
+        self.best("columnar") / self.best("unbatched").max(f64::MIN_POSITIVE)
     }
 }
 
@@ -137,7 +130,6 @@ fn throughput_run_sampled(
     let registry = Arc::new(MetricsRegistry::new());
     let config = LiveConfig {
         batch_size,
-        columnar: mode == "columnar",
         metrics: Some(Arc::clone(&registry)),
         span_sampler,
         ..LiveConfig::default()
@@ -166,7 +158,7 @@ fn throughput_run_sampled(
     }
 }
 
-/// Runs the batched-vs-unbatched live throughput bench and writes
+/// Runs the columnar-vs-unbatched live throughput bench and writes
 /// `BENCH_throughput.json` at the workspace root.
 pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     let servers = 3;
@@ -176,11 +168,8 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     println!("  mode        batch   elapsed      tuples/s   batch sends");
     let reps = 5;
     let mut runs = Vec::new();
-    let configs: [(&'static str, usize); 7] = [
+    let configs: [(&'static str, usize); 4] = [
         ("unbatched", 1),
-        ("batched", 16),
-        ("batched", 64),
-        ("batched", 256),
         ("columnar", 16),
         ("columnar", 64),
         ("columnar", 256),
@@ -204,10 +193,9 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
         keys,
         runs,
     };
-    println!("  speedup (best batched / unbatched):  {:.2}x", bench.speedup());
     println!(
-        "  speedup (best columnar / batched):   {:.2}x",
-        bench.columnar_speedup()
+        "  speedup (best columnar / unbatched):  {:.2}x",
+        bench.speedup()
     );
 
     let mut json = String::new();
@@ -232,12 +220,8 @@ pub fn bench_throughput(quick: bool) -> (ThroughputBench, PathBuf) {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_batched_vs_unbatched\": {:.3},\n",
+        "  \"speedup_columnar_vs_unbatched\": {:.3}\n",
         bench.speedup()
-    ));
-    json.push_str(&format!(
-        "  \"speedup_columnar_vs_batched\": {:.3}\n",
-        bench.columnar_speedup()
     ));
     json.push_str("}\n");
     let path = workspace_root().join("BENCH_throughput.json");
@@ -453,10 +437,8 @@ mod tests {
 
     #[test]
     fn throughput_run_drains_and_counts_batches() {
-        let run = throughput_run(2, 100, 6_000, "batched", 64);
-        assert!(run.tuples_per_s > 0.0);
-        assert!(run.batch_sends > 0, "batched run must send batches");
         let columnar = throughput_run(2, 100, 6_000, "columnar", 64);
+        assert!(columnar.tuples_per_s > 0.0);
         assert!(columnar.batch_sends > 0, "columnar run must send batches");
         let unbatched = throughput_run(2, 100, 6_000, "unbatched", 1);
         assert_eq!(unbatched.batch_sends, 0);
@@ -499,13 +481,11 @@ mod tests {
             keys: 1,
             runs: vec![
                 run("unbatched", 1, 100.0),
-                run("batched", 64, 250.0),
-                run("batched", 256, 200.0),
-                run("columnar", 64, 500.0),
+                run("columnar", 64, 250.0),
+                run("columnar", 256, 200.0),
             ],
         };
         assert!((bench.speedup() - 2.5).abs() < 1e-9);
-        assert!((bench.columnar_speedup() - 2.0).abs() < 1e-9);
         assert_eq!(bench.best("missing"), 0.0);
     }
 }

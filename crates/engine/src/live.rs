@@ -41,7 +41,7 @@ use crate::reconfig::{ReconfigError, WaveConfig};
 type RouterUpdates = Vec<(EdgeId, Arc<dyn KeyRouter>)>;
 /// Keys and their moved state carried by one ⑥ `Migrate` message.
 type MigratedKeys = Vec<(Key, Option<StateValue>)>;
-use crate::router::{DestRun, HashRouter, KeyRouter};
+use crate::router::{push_dest_run, DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
@@ -50,7 +50,8 @@ use crate::tuple::{tuple_run_len, Tuple};
 /// channel per receiver (like a TCP connection in Storm), so per-
 /// sender ordering guarantees hold for `Eos`.
 enum Msg {
-    /// A data tuple.
+    /// One data tuple: the wire form of a send when batching is off
+    /// (`batch_size <= 1`). Processed exactly like a 1-tuple `Batch`.
     Data(Tuple),
     /// A run of data tuples coalesced by the sender (one channel
     /// message instead of `len()`); the receiver processes them in
@@ -149,28 +150,18 @@ pub struct LiveConfig {
     /// Data-plane batching: tuples per destination are coalesced into
     /// `Msg::Batch` sends of up to this many tuples. Buffers are
     /// flushed when full, whenever the worker would otherwise block on
-    /// an empty inbox, whenever a source has routed a staged batch and
-    /// the buffer's receiver is parked on an empty inbox (send buffers
-    /// are work-conserving: no tuple waits for a batch to fill while
-    /// its receiver idles), and on every control-plane boundary
+    /// an empty inbox, whenever a source has routed a staged batch (or
+    /// made a few generator calls since) and the buffer's receiver is
+    /// parked on an empty inbox (send buffers are work-conserving: no
+    /// tuple waits for a batch to fill while its receiver idles), and
+    /// on every control-plane boundary
     /// (staging a `Reconf`, forwarding `Propagate`, answering a
     /// `StateProbe`, sending `Eos`) so per-sender FIFO ordering
     /// relative to control messages is preserved. `0` or `1` disables
-    /// batching (one `Msg::Data` per tuple, the pre-batching
-    /// behavior).
+    /// batching: each tuple travels as its own `Msg::Data`. That only
+    /// changes the wire form; receivers process every message through
+    /// the same columnar path.
     pub batch_size: usize,
-    /// Columnar data plane: batches stay first-class *inside* the
-    /// workers, not only on the channel. Sources and operators route
-    /// whole batches via [`KeyRouter::route_batch`] (one route per run
-    /// of equal keys), edge and hot counters get one relaxed add per
-    /// batch instead of one RMW per tuple, operators dispatch through
-    /// [`Operator::on_batch`] (one state lookup per key run), and pair
-    /// observers receive coalesced [`PairObserver::observe_run`]s.
-    /// Strictly equivalent to the per-tuple path — final operator
-    /// state, locality statistics and sketch contents are
-    /// bit-identical — so it is on by default; disable to measure the
-    /// per-tuple baseline.
-    pub columnar: bool,
     /// Observability registry. When set, the runtime registers its
     /// hot-path counters (tuples routed/remote, migrations, migration
     /// bytes, batch sends/flushes) there; workers feed them with
@@ -193,7 +184,6 @@ impl Default for LiveConfig {
         Self {
             channel_capacity: 8_192,
             batch_size: 64,
-            columnar: true,
             metrics: None,
             span_sampler: None,
         }
@@ -212,7 +202,6 @@ struct LiveHot {
     batch_control_flushes: Counter,
     batch_drops: Counter,
     batch_dropped_tuples: Counter,
-    columnar_fallback_batches: Counter,
 }
 
 impl LiveHot {
@@ -255,10 +244,6 @@ impl LiveHot {
                     "live_batch_dropped_tuples_total",
                     "tuples lost inside fault-dropped Batch messages",
                 ),
-                columnar_fallback_batches: reg.counter(
-                    "live_columnar_fallback_batches_total",
-                    "batches processed per tuple because keys were pending or departed",
-                ),
             },
             None => Self {
                 tuples_routed: Counter::detached(),
@@ -270,7 +255,6 @@ impl LiveHot {
                 batch_control_flushes: Counter::detached(),
                 batch_drops: Counter::detached(),
                 batch_dropped_tuples: Counter::detached(),
-                columnar_fallback_batches: Counter::detached(),
             },
         }
     }
@@ -311,8 +295,6 @@ struct WorkerShared {
     parked: Vec<AtomicBool>,
     /// Data-plane batch size (≤ 1 disables batching).
     batch_size: usize,
-    /// Columnar batch processing (see [`LiveConfig::columnar`]).
-    columnar: bool,
     /// Hot-path observability counters (see [`LiveHot`]).
     hot: LiveHot,
     /// Span sampler (see [`LiveConfig::span_sampler`]); `None` keeps
@@ -363,15 +345,17 @@ struct WorkerCtx {
     my_idx: usize,
     rr: usize,
     overrides: HashMap<usize, Arc<dyn KeyRouter>>,
+    /// Per out edge: the destination instances on this worker's server
+    /// when the edge is local-or-shuffle (empty otherwise, or when no
+    /// destination instance is local). Placement is fixed for the
+    /// runtime's life, so the list is computed once.
+    locals: Vec<Vec<usize>>,
     /// Per-destination send buffers (indexed by global instance), the
     /// data-plane batching of `LiveConfig::batch_size`. Edge counters
-    /// and observers fire with the same aggregate totals as the
-    /// per-tuple path (bulk adds on the columnar path), so locality
-    /// statistics are bit-identical with and without batching.
+    /// and observers fire at route time with bulk adds, so locality
+    /// statistics do not depend on the batch size.
     out_buf: Vec<Vec<Tuple>>,
     batch: usize,
-    /// Columnar batch routing (copied from [`WorkerShared::columnar`]).
-    columnar: bool,
     /// Scratch column of routing keys extracted from a staged batch.
     key_buf: Vec<Key>,
     /// Scratch `(dest, len)` runs produced by `route_batch`.
@@ -380,30 +364,28 @@ struct WorkerCtx {
 
 impl WorkerCtx {
     fn new(po_idx: usize, instance: usize, shared: &WorkerShared) -> Self {
+        let my_idx = shared.poi_base[po_idx] + instance;
+        let locals = shared.outs[po_idx]
+            .iter()
+            .map(|out| {
+                let base = shared.poi_base[out.dest_po];
+                (0..shared.parallelism[out.dest_po])
+                    .filter(|&i| {
+                        out.local_or_shuffle && shared.server[base + i] == shared.server[my_idx]
+                    })
+                    .collect()
+            })
+            .collect();
         Self {
             po_idx,
-            my_idx: shared.poi_base[po_idx] + instance,
+            my_idx,
             rr: instance,
             overrides: HashMap::new(),
+            locals,
             out_buf: vec![Vec::new(); shared.inboxes.len()],
             batch: shared.batch_size,
-            columnar: shared.columnar,
             key_buf: Vec::new(),
             run_buf: Vec::new(),
-        }
-    }
-
-    /// Enqueues (or directly sends) one routed tuple to `dest_idx`.
-    fn push_tuple(&mut self, shared: &WorkerShared, dest_idx: usize, tuple: Tuple) {
-        if self.batch <= 1 {
-            let _ = shared.inboxes[dest_idx].send(Msg::Data(tuple));
-            return;
-        }
-        let buf = &mut self.out_buf[dest_idx];
-        buf.push(tuple);
-        if buf.len() >= self.batch {
-            let batch = std::mem::replace(buf, Vec::with_capacity(self.batch));
-            send_batch(shared, dest_idx, batch);
         }
     }
 
@@ -452,152 +434,122 @@ impl WorkerCtx {
         }
     }
 
-    fn route_out(&mut self, shared: &WorkerShared, tuple: Tuple) {
-        let my_server = shared.server[self.my_idx];
-        for out in &shared.outs[self.po_idx] {
-            let dest_parallelism = shared.parallelism[out.dest_po];
-            let dest_instance = match out.field {
-                Some(field) => {
-                    let router = self.overrides.get(&out.edge).unwrap_or(&out.router);
-                    router.route(tuple.key(field), dest_parallelism) as usize
-                }
-                None => {
-                    self.rr = self.rr.wrapping_add(1);
-                    if out.local_or_shuffle {
-                        let base = shared.poi_base[out.dest_po];
-                        let locals: Vec<usize> = (0..dest_parallelism)
-                            .filter(|&i| shared.server[base + i] == my_server)
-                            .collect();
-                        if locals.is_empty() {
-                            self.rr % dest_parallelism
-                        } else {
-                            locals[self.rr % locals.len()]
-                        }
-                    } else {
-                        self.rr % dest_parallelism
-                    }
-                }
-            };
-            let dest_idx = shared.poi_base[out.dest_po] + dest_instance;
-            let counters = &shared.edges[out.edge];
-            shared.hot.tuples_routed.inc();
-            let remote_hop = shared.server[dest_idx] != my_server;
-            if remote_hop {
-                counters.remote.fetch_add(1, Ordering::Relaxed);
-                shared.hot.tuples_remote.inc();
-            } else {
-                counters.local.fetch_add(1, Ordering::Relaxed);
-            }
-            // Span hop stamp: the sender knows the hop's locality, so
-            // it stamps send time + remote bit per destination. Only
-            // sampled tuples pay the clock read.
-            let mut tuple = tuple;
-            if tuple.is_span_sampled() {
-                tuple.set_span_hop(span_now_ns(&shared.clock), remote_hop);
-            }
-            self.push_tuple(shared, dest_idx, tuple);
-        }
-    }
-
-    /// Routes a staged batch of tuples in columnar form when this
-    /// operator has exactly one fields-grouped out edge: the key
-    /// column is extracted once, the router sees it whole
-    /// ([`KeyRouter::route_batch`] — one route per run of equal keys),
-    /// and the edge / hot counters get one relaxed add per batch
-    /// instead of one contended RMW per tuple. Aggregate side effects
-    /// (edge totals, fallback counters) are exactly those of routing
-    /// per tuple.
+    /// Routes a batch of tuples on every out edge, one edge after
+    /// another. A fields-grouped edge extracts its key column once and
+    /// routes it whole ([`KeyRouter::route_batch`] — one route per run
+    /// of equal keys); a shuffle or local-or-shuffle edge assigns
+    /// round-robin over the column. Edge and hot counters get one
+    /// relaxed add per edge per batch instead of one contended RMW per
+    /// tuple.
     ///
-    /// Operators with several out edges or shuffle grouping fall back
-    /// to the per-tuple path — interleaving whole per-edge runs would
-    /// reorder tuples *across* edges relative to per-tuple routing,
-    /// and round-robin shuffle state is inherently per tuple.
+    /// Each tuple reaches the instance that routing it alone would
+    /// pick: the round-robin counter is strided over the shuffle
+    /// edges, so tuple `i` draws on each of them the value it would
+    /// draw if every edge were routed per tuple. Only the order of
+    /// sends *across* edges differs, which no receiver can observe
+    /// unless two edges connect the same pair of operators.
     fn route_out_batch(&mut self, shared: &WorkerShared, tuples: &mut [Tuple]) {
         if tuples.is_empty() {
             return;
         }
         let outs = &shared.outs[self.po_idx];
-        if !(self.columnar && outs.len() == 1 && outs[0].field.is_some()) {
-            for tuple in tuples.iter().copied() {
-                self.route_out(shared, tuple);
-            }
-            return;
-        }
-        let out = &outs[0];
-        let field = out.field.expect("columnar edge is fields-grouped");
-        let dest_parallelism = shared.parallelism[out.dest_po];
-        let base = shared.poi_base[out.dest_po];
         let my_server = shared.server[self.my_idx];
-
-        self.key_buf.clear();
-        self.key_buf.extend(tuples.iter().map(|t| t.key(field)));
-        let mut runs = std::mem::take(&mut self.run_buf);
-        runs.clear();
-        self.overrides
-            .get(&out.edge)
-            .unwrap_or(&out.router)
-            .route_batch(&self.key_buf, dest_parallelism, &mut runs);
-
         // One clock read per batch covers every span hop stamp in it;
         // sampler off ⇒ the whole block is skipped.
         let hop_now = shared.sampler.as_ref().map(|_| span_now_ns(&shared.clock));
-
-        let (mut local, mut remote) = (0u64, 0u64);
-        let mut offset = 0usize;
-        for run in &runs {
-            let len = run.len as usize;
-            let dest_idx = base + run.dest as usize;
-            let remote_hop = shared.server[dest_idx] != my_server;
-            if remote_hop {
-                remote += u64::from(run.len);
-            } else {
-                local += u64::from(run.len);
-            }
-            if let Some(now) = hop_now {
-                // One predictable branch per tuple: at 1/64 sampling
-                // the stamp is almost never taken, and the plain pass
-                // beats re-detecting key runs just to share it.
-                for t in &mut tuples[offset..offset + len] {
-                    if t.is_span_sampled() {
-                        t.set_span_hop(now, remote_hop);
+        let rr_base = self.rr;
+        let rr_stride = outs.iter().filter(|o| o.field.is_none()).count();
+        let mut rr_edge = 0;
+        let mut runs = std::mem::take(&mut self.run_buf);
+        for (out, locals) in outs.iter().zip(&self.locals) {
+            let dest_parallelism = shared.parallelism[out.dest_po];
+            runs.clear();
+            match out.field {
+                Some(field) => {
+                    self.key_buf.clear();
+                    self.key_buf.extend(tuples.iter().map(|t| t.key(field)));
+                    self.overrides
+                        .get(&out.edge)
+                        .unwrap_or(&out.router)
+                        .route_batch(&self.key_buf, dest_parallelism, &mut runs);
+                }
+                None => {
+                    rr_edge += 1;
+                    for i in 0..tuples.len() {
+                        let rr = rr_base.wrapping_add(i * rr_stride + rr_edge);
+                        let dest = if locals.is_empty() {
+                            rr % dest_parallelism
+                        } else {
+                            locals[rr % locals.len()]
+                        };
+                        push_dest_run(&mut runs, 0, dest as u32, 1);
                     }
                 }
             }
-            let mut rest = &tuples[offset..offset + len];
-            offset += len;
-            if self.batch <= 1 {
-                for &tuple in rest {
-                    let _ = shared.inboxes[dest_idx].send(Msg::Data(tuple));
+
+            let base = shared.poi_base[out.dest_po];
+            let (mut local, mut remote) = (0u64, 0u64);
+            let mut offset = 0usize;
+            for run in &runs {
+                let len = run.len as usize;
+                let dest_idx = base + run.dest as usize;
+                let remote_hop = shared.server[dest_idx] != my_server;
+                if remote_hop {
+                    remote += u64::from(run.len);
+                } else {
+                    local += u64::from(run.len);
                 }
-                continue;
+                if let Some(now) = hop_now {
+                    // One predictable branch per tuple: at 1/64 sampling
+                    // the stamp is almost never taken, and the plain pass
+                    // beats re-detecting key runs just to share it. The
+                    // stamp is per edge: it is copied into this edge's
+                    // buffers below, before the next edge restamps.
+                    for t in &mut tuples[offset..offset + len] {
+                        if t.is_span_sampled() {
+                            t.set_span_hop(now, remote_hop);
+                        }
+                    }
+                }
+                let mut rest = &tuples[offset..offset + len];
+                offset += len;
+                if self.batch <= 1 {
+                    for &tuple in rest {
+                        let _ = shared.inboxes[dest_idx].send(Msg::Data(tuple));
+                    }
+                    continue;
+                }
+                // Append the run in chunks sized to the remaining buffer
+                // room, so batch boundaries land exactly where per-tuple
+                // pushes would put them.
+                while !rest.is_empty() {
+                    let buf = &mut self.out_buf[dest_idx];
+                    let take = rest.len().min(self.batch - buf.len());
+                    buf.extend_from_slice(&rest[..take]);
+                    rest = &rest[take..];
+                    if buf.len() >= self.batch {
+                        let batch = std::mem::replace(buf, Vec::with_capacity(self.batch));
+                        send_batch(shared, dest_idx, batch);
+                    }
+                }
             }
-            // Append the run in chunks sized to the remaining buffer
-            // room, so batch boundaries land exactly where per-tuple
-            // pushes would put them.
-            while !rest.is_empty() {
-                let buf = &mut self.out_buf[dest_idx];
-                let take = rest.len().min(self.batch - buf.len());
-                buf.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if buf.len() >= self.batch {
-                    let batch = std::mem::replace(buf, Vec::with_capacity(self.batch));
-                    send_batch(shared, dest_idx, batch);
-                }
+            // One deferred add per counter per edge — the contended
+            // atomics are the dominant per-tuple cost this removes.
+            let counters = &shared.edges[out.edge];
+            if local > 0 {
+                counters.local.fetch_add(local, Ordering::Relaxed);
+            }
+            if remote > 0 {
+                counters.remote.fetch_add(remote, Ordering::Relaxed);
+                shared.hot.tuples_remote.add(remote);
             }
         }
         self.run_buf = runs;
-
-        // One deferred add per counter per batch — the contended
-        // atomics are the dominant per-tuple cost this path removes.
-        shared.hot.tuples_routed.add(tuples.len() as u64);
-        let counters = &shared.edges[out.edge];
-        if local > 0 {
-            counters.local.fetch_add(local, Ordering::Relaxed);
-        }
-        if remote > 0 {
-            counters.remote.fetch_add(remote, Ordering::Relaxed);
-            shared.hot.tuples_remote.add(remote);
-        }
+        self.rr = rr_base.wrapping_add(tuples.len() * rr_stride);
+        shared
+            .hot
+            .tuples_routed
+            .add((tuples.len() * outs.len()) as u64);
     }
 }
 
@@ -805,7 +757,6 @@ impl LiveRuntime {
             batch_faults: AtomicBool::new(false),
             parked: (0..n_instances).map(|_| AtomicBool::new(false)).collect(),
             batch_size: config.batch_size,
-            columnar: config.columnar,
             hot: LiveHot::new(config.metrics.as_deref()),
             sampler: config.span_sampler,
             span_metrics: config.metrics.clone(),
@@ -1283,6 +1234,10 @@ fn next_timer_due(timers: &[(Instant, usize, Msg)]) -> Option<Instant> {
     timers.iter().map(|t| t.0).min()
 }
 
+/// Generator calls between a source's checks for parked receivers
+/// while it stages a batch (see [`WorkerCtx::flush_parked`]).
+const PARKED_CHECK: usize = 8;
+
 fn source_loop(
     po_idx: usize,
     instance: usize,
@@ -1347,7 +1302,14 @@ fn source_loop(
         // as a column: the batch-first data plane begins at the source.
         let mut exhausted = false;
         stage.clear();
-        for _ in 0..64 {
+        for i in 0..64 {
+            // A generator may block between tuples (a paced stream), and
+            // a receiver that was busy when the last batch was routed
+            // has likely parked since: hand it what is held for it now,
+            // not a whole stage later.
+            if i > 0 && i % PARKED_CHECK == 0 {
+                ctx.flush_parked(&shared);
+            }
             match gen.next_tuple() {
                 Some(tuple) => stage.push(tuple),
                 None => {
@@ -1422,200 +1384,173 @@ fn source_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn operator_loop(
-    po_idx: usize,
-    instance: usize,
-    mut op: Box<dyn Operator>,
+/// Span recording at one operator instance (see
+/// [`LiveConfig::span_sampler`]).
+struct HopSpans {
+    /// This worker's recorder; idempotent registry registration shares
+    /// the histograms across workers.
+    rec: SpanRecorder,
+    /// Sinks also record the end-to-end latency of each sampled tuple.
+    is_sink: bool,
+    /// Scratch `(hop_send_ns, remote, origin_ns)` stamps collected from
+    /// a batch before processing (dispatch consumes the batch).
+    sampled: Vec<(u64, bool, u64)>,
+}
+
+/// An operator instance's data path: the operator, its keyed state,
+/// and the per-key buffers of the wave protocol (Algorithm 1).
+struct DataPath {
+    op: Box<dyn Operator>,
     stateful: bool,
     state_field: Option<usize>,
-    pred_instances: usize,
-    successors: Vec<usize>,
-    observers: Vec<(EdgeId, usize, Box<dyn PairObserver>)>,
-    shared: Arc<WorkerShared>,
-    rx: Receiver<Msg>,
-) -> InstanceReport {
-    let mut ctx = WorkerCtx::new(po_idx, instance, &shared);
-    let my_idx = ctx.my_idx;
-    let mut observers: ObserverSlots = {
-        let mut map: ObserverSlots = HashMap::new();
-        for (e, f, o) in observers {
-            map.entry(e.index()).or_default().push((f, o));
-        }
-        map
-    };
-    let mut state: HashMap<Key, StateValue> = HashMap::new();
-    let mut processed = 0u64;
-    let mut emitted: Vec<Tuple> = Vec::new();
+    state: HashMap<Key, StateValue>,
+    /// Tuples handed to the operator so far.
+    processed: u64,
+    /// Keys whose state is in flight to this instance, with the tuples
+    /// buffered for each until its ⑥ `Migrate` arrives.
+    pending: HashMap<Key, Vec<Tuple>>,
+    /// Keys this instance shipped in the last applied wave, with their
+    /// new owner. Tuples still routed here under old tables are
+    /// forwarded; cleared by the next `Reconf`.
+    departed: HashMap<Key, usize>,
+    observers: ObserverSlots,
+    emitted: Vec<Tuple>,
+    ctx: WorkerCtx,
+    /// `None` when the sampler is off: the hot path pays one
+    /// never-taken branch per message.
+    spans: Option<HopSpans>,
+}
 
-    // Span tracing: each worker owns a recorder (idempotent registry
-    // registration shares the histograms across workers); `None` when
-    // the sampler is off, so the hot path pays one never-taken branch.
-    let mut span_rec: Option<SpanRecorder> = shared
-        .sampler
-        .map(|_| SpanRecorder::new(shared.span_metrics.clone()));
-    let is_sink = shared.outs[po_idx].is_empty();
-    // Scratch `(hop_send_ns, remote, origin_ns)` stamps collected from
-    // a batch before processing (the batch is consumed by dispatch).
-    let mut sampled_buf: Vec<(u64, bool, u64)> = Vec::new();
-
-    // Reconfiguration runtime.
-    let mut staged: Option<(RouterUpdates, Vec<(Key, usize)>)> = None;
-    let mut awaiting = 0usize;
-    let mut pending: HashMap<Key, Vec<Tuple>> = HashMap::new();
-    let mut departed: HashMap<Key, usize> = HashMap::new();
-    let mut eos_seen = 0usize;
-
-    /// The per-tuple data path; returns `false` if the tuple was
-    /// buffered or forwarded instead of processed.
-    #[allow(clippy::too_many_arguments)]
-    fn process_one(
-        tuple: Tuple,
-        op: &mut dyn Operator,
-        stateful: bool,
-        state_field: Option<usize>,
-        state: &mut HashMap<Key, StateValue>,
-        pending: &mut HashMap<Key, Vec<Tuple>>,
-        departed: &HashMap<Key, usize>,
-        observers: &mut ObserverSlots,
-        emitted: &mut Vec<Tuple>,
-        ctx: &mut WorkerCtx,
-        shared: &WorkerShared,
-    ) -> bool {
-        let state_key = state_field.map(|f| tuple.key(f));
-        if let Some(key) = state_key {
-            if let Some(buf) = pending.get_mut(&key) {
-                buf.push(tuple);
-                return false;
+impl DataPath {
+    /// Handles one data message: processes its tuples and records the
+    /// span hops of the sampled ones. Queue wait is per sender stamp;
+    /// processing time is an equal share of the batch's dispatch, since
+    /// columnar processing has no per-tuple boundary to time. Tuples
+    /// buffered or forwarded by a migration are recorded on arrival
+    /// too.
+    fn receive(&mut self, shared: &WorkerShared, tuples: &[Tuple]) {
+        let arrive = self.spans.as_mut().and_then(|spans| {
+            spans.sampled.clear();
+            for t in tuples {
+                if let Some((sent, remote)) = t.span_hop() {
+                    spans.sampled.push((sent, remote, t.span_origin_ns()));
+                }
             }
-            if let Some(&new_owner) = departed.get(&key) {
-                let _ = shared.inboxes[new_owner].send(Msg::Data(tuple));
-                return false;
-            }
-        }
-        emitted.clear();
-        {
-            let state_slot = if stateful {
-                let key = state_key.expect("stateful operators have a state field");
-                Some(state.entry(key).or_insert_with(|| op.init_state()))
-            } else {
-                None
-            };
-            let mut op_ctx = OpContext {
-                state: state_slot,
-                routing_key: state_key,
-                emitted,
-            };
-            op.process(tuple, &mut op_ctx);
-        }
-        // Derived output inherits the input's span origin, so a span
-        // follows the tuple's lineage across transforming operators
-        // (forwarding operators copy the stamp implicitly).
-        if tuple.is_span_sampled() {
-            let origin = tuple.span_origin_ns();
-            for t in emitted.iter_mut() {
-                t.set_span_origin(origin);
-            }
-        }
-        if let Some(in_key) = state_key {
-            if !observers.is_empty() {
-                for out in &shared.outs[ctx.po_idx] {
-                    let Some(slots) = observers.get_mut(&out.edge) else {
-                        continue;
-                    };
-                    for (field, obs) in slots {
-                        for t in emitted.iter() {
-                            obs.observe(in_key, t.key(*field));
-                        }
-                    }
+            (!spans.sampled.is_empty()).then(|| span_now_ns(&shared.clock))
+        });
+        self.process_batch(shared, tuples);
+        if let (Some(spans), Some(arrive)) = (self.spans.as_mut(), arrive) {
+            let po_idx = self.ctx.po_idx;
+            let done = span_now_ns(&shared.clock);
+            let per_tuple = done.saturating_sub(arrive) / tuples.len() as u64;
+            let epoch = shared.epoch.load(Ordering::Relaxed);
+            for &(sent, remote, origin) in &spans.sampled {
+                spans.rec.record_hop(
+                    po_idx,
+                    epoch,
+                    remote,
+                    arrive.saturating_sub(sent),
+                    per_tuple,
+                );
+                if spans.is_sink {
+                    spans
+                        .rec
+                        .record_end(po_idx, epoch, done.saturating_sub(origin));
                 }
             }
         }
-        for t in std::mem::take(emitted) {
-            ctx.route_out(shared, t);
-        }
-        true
     }
 
-    /// The columnar data path: processes a whole batch, one operator
-    /// dispatch and one state lookup per run of equal state keys,
-    /// coalesced observer runs, and columnar routing of the emitted
-    /// tuples. Only called when the instance is "quiet" — no keys
-    /// pending a migration, none departed — so every tuple is
-    /// processed (never buffered or forwarded), exactly as
-    /// `process_one` would.
-    #[allow(clippy::too_many_arguments)]
-    fn process_batch(
-        tuples: &[Tuple],
-        op: &mut dyn Operator,
-        stateful: bool,
-        state_field: Option<usize>,
-        state: &mut HashMap<Key, StateValue>,
-        observers: &mut ObserverSlots,
-        emitted: &mut Vec<Tuple>,
-        ctx: &mut WorkerCtx,
-        shared: &WorkerShared,
-    ) {
-        let Some(field) = state_field else {
-            // No routed input field: no per-key state, no observers.
-            // One dispatch covers the whole batch.
-            emitted.clear();
+    /// The data path, the only way a tuple reaches the operator. Walks
+    /// the batch in runs of equal state keys. A run whose key awaits
+    /// migrated state is buffered, a run whose key departed is
+    /// forwarded to its new owner, and every other run costs one state
+    /// lookup and one [`Operator::on_batch`] dispatch. Observers see
+    /// coalesced runs, and the emitted tuples are routed once per
+    /// batch.
+    fn process_batch(&mut self, shared: &WorkerShared, tuples: &[Tuple]) {
+        self.emitted.clear();
+        let Some(field) = self.state_field else {
+            // No routed input field: no per-key state, no migrations,
+            // no observers. One dispatch covers the whole batch.
             let mut op_ctx = OpContext {
                 state: None,
                 routing_key: None,
-                emitted: &mut *emitted,
+                emitted: &mut self.emitted,
             };
-            op.on_batch(tuples, &mut op_ctx);
-            let mut out = std::mem::take(emitted);
-            ctx.route_out_batch(shared, &mut out);
-            *emitted = out;
+            self.op.on_batch(tuples, &mut op_ctx);
+            self.processed += tuples.len() as u64;
+            self.ctx.route_out_batch(shared, &mut self.emitted);
             return;
         };
+        // Outside a wave both maps are empty, and neither gains or
+        // loses a key while a batch is processed: one check per batch
+        // spares every run the two lookups.
+        let quiet = self.pending.is_empty() && self.departed.is_empty();
         // Output accumulates across runs and is routed once per batch:
         // routing is order-preserving and appends per destination, so
         // deferring it to the batch boundary leaves every buffer and
         // send boundary exactly where per-run routing would put them —
-        // while paying the columnar routing setup (key column, run
-        // detection, counter adds) once per batch instead of once per
-        // run.
-        emitted.clear();
+        // while paying the routing setup (key column, run detection,
+        // counter adds) once per batch instead of once per run.
         let mut rest = tuples;
         while !rest.is_empty() {
-            let len = tuple_run_len(rest, field);
-            let key = rest[0].key(field);
-            let run_start = emitted.len();
+            let (run, tail) = rest.split_at(tuple_run_len(rest, field));
+            rest = tail;
+            let key = run[0].key(field);
+            if !quiet {
+                if let Some(buf) = self.pending.get_mut(&key) {
+                    buf.extend_from_slice(run);
+                    continue;
+                }
+                if let Some(&owner) = self.departed.get(&key) {
+                    let msg = match run {
+                        [tuple] => Msg::Data(*tuple),
+                        _ => Msg::Batch(run.to_vec()),
+                    };
+                    let _ = shared.inboxes[owner].send(msg);
+                    continue;
+                }
+            }
+            self.processed += run.len() as u64;
+            let run_start = self.emitted.len();
             {
-                let state_slot = if stateful {
-                    Some(state.entry(key).or_insert_with(|| op.init_state()))
+                let state_slot = if self.stateful {
+                    Some(
+                        self.state
+                            .entry(key)
+                            .or_insert_with(|| self.op.init_state()),
+                    )
                 } else {
                     None
                 };
                 let mut op_ctx = OpContext {
                     state: state_slot,
                     routing_key: Some(key),
-                    emitted: &mut *emitted,
+                    emitted: &mut self.emitted,
                 };
-                op.on_batch(&rest[..len], &mut op_ctx);
+                self.op.on_batch(run, &mut op_ctx);
             }
-            // One branch per key run: sampling is per key, so the run
-            // head decides span-origin inheritance for the whole run's
-            // derived output (see `process_one`).
-            if rest[0].is_span_sampled() {
-                let origin = rest[0].span_origin_ns();
-                for t in emitted[run_start..].iter_mut() {
+            // Derived output inherits the input's span origin, so a
+            // span follows the tuple's lineage across transforming
+            // operators. One branch per key run: sampling is per key,
+            // so the run head decides for the whole run's output.
+            if run[0].is_span_sampled() {
+                let origin = run[0].span_origin_ns();
+                for t in &mut self.emitted[run_start..] {
                     t.set_span_origin(origin);
                 }
             }
-            if !observers.is_empty() {
-                for out in &shared.outs[ctx.po_idx] {
-                    let Some(slots) = observers.get_mut(&out.edge) else {
+            if !self.observers.is_empty() {
+                for out in &shared.outs[self.ctx.po_idx] {
+                    let Some(slots) = self.observers.get_mut(&out.edge) else {
                         continue;
                     };
                     for (obs_field, obs) in slots {
                         // Emitted tuples within a run may still vary
                         // in the observed field; coalesce the emitted
                         // runs too so each costs one observe.
-                        let mut out_rest = &emitted[run_start..];
+                        let mut out_rest = &self.emitted[run_start..];
                         while !out_rest.is_empty() {
                             let out_len = tuple_run_len(out_rest, *obs_field);
                             obs.observe_run(key, out_rest[0].key(*obs_field), out_len as u64);
@@ -1624,12 +1559,52 @@ fn operator_loop(
                     }
                 }
             }
-            rest = &rest[len..];
         }
-        let mut out = std::mem::take(emitted);
-        ctx.route_out_batch(shared, &mut out);
-        *emitted = out;
+        self.ctx.route_out_batch(shared, &mut self.emitted);
     }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn operator_loop(
+    po_idx: usize,
+    instance: usize,
+    op: Box<dyn Operator>,
+    stateful: bool,
+    state_field: Option<usize>,
+    pred_instances: usize,
+    successors: Vec<usize>,
+    observers: Vec<(EdgeId, usize, Box<dyn PairObserver>)>,
+    shared: Arc<WorkerShared>,
+    rx: Receiver<Msg>,
+) -> InstanceReport {
+    let ctx = WorkerCtx::new(po_idx, instance, &shared);
+    let my_idx = ctx.my_idx;
+    let mut slots: ObserverSlots = HashMap::new();
+    for (e, f, o) in observers {
+        slots.entry(e.index()).or_default().push((f, o));
+    }
+    let mut dp = DataPath {
+        op,
+        stateful,
+        state_field,
+        state: HashMap::new(),
+        processed: 0,
+        pending: HashMap::new(),
+        departed: HashMap::new(),
+        observers: slots,
+        emitted: Vec::new(),
+        ctx,
+        spans: shared.sampler.map(|_| HopSpans {
+            rec: SpanRecorder::new(shared.span_metrics.clone()),
+            is_sink: shared.outs[po_idx].is_empty(),
+            sampled: Vec::new(),
+        }),
+    };
+
+    // Reconfiguration runtime.
+    let mut staged: Option<(RouterUpdates, Vec<(Key, usize)>)> = None;
+    let mut awaiting = 0usize;
+    let mut eos_seen = 0usize;
 
     // Once every predecessor `Eos` is in but keys are still buffered
     // awaiting a `Migrate`, the loop switches to a bounded-patience
@@ -1645,7 +1620,7 @@ fn operator_loop(
             Ok(m) => m,
             Err(crossbeam::channel::TryRecvError::Disconnected) => break,
             Err(crossbeam::channel::TryRecvError::Empty) => {
-                ctx.flush_outputs(&shared, false);
+                dp.ctx.flush_outputs(&shared, false);
                 let parked = &shared.parked[my_idx];
                 parked.store(true, Ordering::Relaxed);
                 let woke = if draining {
@@ -1661,137 +1636,17 @@ fn operator_loop(
             }
         };
         match msg {
-            Msg::Data(tuple) => {
-                // Capture the sender's hop stamp and an arrival clock
-                // before dispatch; record only if the tuple was
-                // actually processed (buffered/forwarded tuples get a
-                // fresh stamp when they re-enter the data path).
-                let hop = if span_rec.is_some() { tuple.span_hop() } else { None };
-                let arrive = hop.map(|_| span_now_ns(&shared.clock));
-                if process_one(
-                    tuple,
-                    op.as_mut(),
-                    stateful,
-                    state_field,
-                    &mut state,
-                    &mut pending,
-                    &departed,
-                    &mut observers,
-                    &mut emitted,
-                    &mut ctx,
-                    &shared,
-                ) {
-                    processed += 1;
-                    if let (Some(rec), Some((sent, remote)), Some(arrive)) =
-                        (span_rec.as_mut(), hop, arrive)
-                    {
-                        let done = span_now_ns(&shared.clock);
-                        let epoch = shared.epoch.load(Ordering::Relaxed);
-                        rec.record_hop(
-                            po_idx,
-                            epoch,
-                            remote,
-                            arrive.saturating_sub(sent),
-                            done.saturating_sub(arrive),
-                        );
-                        if is_sink {
-                            rec.record_end(
-                                po_idx,
-                                epoch,
-                                done.saturating_sub(tuple.span_origin_ns()),
-                            );
-                        }
-                    }
-                }
-            }
-            Msg::Batch(tuples) => {
-                // Collect the batch's span stamps up front (dispatch
-                // consumes the tuples): one `(sent, remote, origin)`
-                // entry per sampled tuple. Queue wait is per sender
-                // stamp; processing time is attributed as an equal
-                // share of the batch's dispatch, since columnar
-                // processing has no per-tuple boundary to time.
-                let mut arrive = None;
-                if span_rec.is_some() {
-                    sampled_buf.clear();
-                    for t in &tuples {
-                        if let Some((sent, remote)) = t.span_hop() {
-                            sampled_buf.push((sent, remote, t.span_origin_ns()));
-                        }
-                    }
-                    if !sampled_buf.is_empty() {
-                        arrive = Some(span_now_ns(&shared.clock));
-                    }
-                }
-                let batch_len = tuples.len() as u64;
-                // Columnar dispatch requires a quiet instance: with
-                // keys pending migration or departed, individual
-                // tuples may need buffering/forwarding, so the batch
-                // drops to the per-tuple path (and is counted as a
-                // fallback). Neither map mutates while a batch is
-                // processed, so the guard holds for the whole batch.
-                if shared.columnar && pending.is_empty() && departed.is_empty() {
-                    process_batch(
-                        &tuples,
-                        op.as_mut(),
-                        stateful,
-                        state_field,
-                        &mut state,
-                        &mut observers,
-                        &mut emitted,
-                        &mut ctx,
-                        &shared,
-                    );
-                    processed += tuples.len() as u64;
-                } else {
-                    if shared.columnar {
-                        shared.hot.columnar_fallback_batches.inc();
-                    }
-                    for tuple in tuples {
-                        if process_one(
-                            tuple,
-                            op.as_mut(),
-                            stateful,
-                            state_field,
-                            &mut state,
-                            &mut pending,
-                            &departed,
-                            &mut observers,
-                            &mut emitted,
-                            &mut ctx,
-                            &shared,
-                        ) {
-                            processed += 1;
-                        }
-                    }
-                }
-                if let (Some(rec), Some(arrive)) = (span_rec.as_mut(), arrive) {
-                    let done = span_now_ns(&shared.clock);
-                    let per_tuple = done.saturating_sub(arrive) / batch_len.max(1);
-                    let epoch = shared.epoch.load(Ordering::Relaxed);
-                    for &(sent, remote, origin) in &sampled_buf {
-                        rec.record_hop(
-                            po_idx,
-                            epoch,
-                            remote,
-                            arrive.saturating_sub(sent),
-                            per_tuple,
-                        );
-                        if is_sink {
-                            rec.record_end(po_idx, epoch, done.saturating_sub(origin));
-                        }
-                    }
-                }
-            }
+            Msg::Data(tuple) => dp.receive(&shared, std::slice::from_ref(&tuple)),
+            Msg::Batch(tuples) => dp.receive(&shared, &tuples),
             Msg::Reconf {
                 routers,
                 send,
                 receive,
             } => {
-                ctx.flush_outputs(&shared, true);
-                departed.clear();
+                dp.ctx.flush_outputs(&shared, true);
+                dp.departed.clear();
                 for key in receive {
-                    pending.entry(key).or_default();
+                    dp.pending.entry(key).or_default();
                 }
                 awaiting = pred_instances.max(1);
                 staged = Some((routers, send));
@@ -1811,9 +1666,9 @@ fn operator_loop(
                         // the wave: buffered tuples were routed under
                         // the old configuration and must stay ahead of
                         // the `Propagate`s in every channel.
-                        ctx.flush_outputs(&shared, true);
+                        dp.ctx.flush_outputs(&shared, true);
                         for (edge, router) in routers {
-                            ctx.overrides.insert(edge.index(), router);
+                            dp.ctx.overrides.insert(edge.index(), router);
                         }
                         // ⑥ bundled per destination: one message per
                         // peer, so a wave never needs more free inbox
@@ -1822,8 +1677,8 @@ fn operator_loop(
                         // order.
                         let mut bundles: Vec<(usize, MigratedKeys)> = Vec::new();
                         for (key, dest) in send {
-                            let moved = state.remove(&key);
-                            departed.insert(key, dest);
+                            let moved = dp.state.remove(&key);
+                            dp.departed.insert(key, dest);
                             let fate = shared
                                 .fault
                                 .lock()
@@ -1860,37 +1715,20 @@ fn operator_loop(
             Msg::Migrate(moves) => {
                 for (key, moved) in moves {
                     if let Some(moved) = moved {
-                        state.insert(key, moved);
+                        dp.state.insert(key, moved);
                     }
-                    let Some(buffered) = pending.remove(&key) else {
-                        continue;
-                    };
-                    for tuple in buffered {
-                        if process_one(
-                            tuple,
-                            op.as_mut(),
-                            stateful,
-                            state_field,
-                            &mut state,
-                            &mut pending,
-                            &departed,
-                            &mut observers,
-                            &mut emitted,
-                            &mut ctx,
-                            &shared,
-                        ) {
-                            processed += 1;
-                        }
+                    if let Some(buffered) = dp.pending.remove(&key) {
+                        dp.process_batch(&shared, &buffered);
                     }
                 }
-                if draining && pending.values().all(Vec::is_empty) {
+                if draining && dp.pending.values().all(Vec::is_empty) {
                     break;
                 }
             }
             Msg::Eos => {
                 eos_seen += 1;
                 if eos_seen >= pred_instances {
-                    if pending.values().all(Vec::is_empty) {
+                    if dp.pending.values().all(Vec::is_empty) {
                         break;
                     }
                     draining = true;
@@ -1899,16 +1737,16 @@ fn operator_loop(
             Msg::StateProbe(reply) => {
                 // Checkpoint boundary: buffered output is handed off
                 // before the state snapshot is taken.
-                ctx.flush_outputs(&shared, true);
-                let _ = reply.send(state.clone());
+                dp.ctx.flush_outputs(&shared, true);
+                let _ = reply.send(dp.state.clone());
             }
             Msg::Crash { restore } => {
                 // Everything volatile is lost; respawn from the
                 // checkpoint the coordinator carried over.
-                ctx.discard_outputs();
-                state = restore;
-                pending.clear();
-                departed.clear();
+                dp.ctx.discard_outputs();
+                dp.state = restore;
+                dp.pending.clear();
+                dp.departed.clear();
                 staged = None;
                 awaiting = 0;
                 // Queued messages die with the instance — except the
@@ -1919,13 +1757,13 @@ fn operator_loop(
                     match m {
                         Msg::Eos => eos_seen += 1,
                         Msg::StateProbe(reply) => {
-                            let _ = reply.send(state.clone());
+                            let _ = reply.send(dp.state.clone());
                         }
                         _ => {}
                     }
                 }
                 if eos_seen >= pred_instances {
-                    if pending.values().all(Vec::is_empty) {
+                    if dp.pending.values().all(Vec::is_empty) {
                         break;
                     }
                     draining = true;
@@ -1936,35 +1774,20 @@ fn operator_loop(
     // Adopt keys still buffered for a `Migrate` that never came (lost
     // transfer): their state starts fresh — at-most-once — but no
     // tuple is silently discarded.
-    let mut orphans: Vec<Key> = pending
+    let mut orphans: Vec<Key> = dp
+        .pending
         .iter()
         .filter(|(_, buf)| !buf.is_empty())
         .map(|(&k, _)| k)
         .collect();
     orphans.sort_unstable();
     for key in orphans {
-        let buffered = pending.remove(&key).unwrap_or_default();
-        for tuple in buffered {
-            if process_one(
-                tuple,
-                op.as_mut(),
-                stateful,
-                state_field,
-                &mut state,
-                &mut pending,
-                &departed,
-                &mut observers,
-                &mut emitted,
-                &mut ctx,
-                &shared,
-            ) {
-                processed += 1;
-            }
-        }
+        let buffered = dp.pending.remove(&key).unwrap_or_default();
+        dp.process_batch(&shared, &buffered);
     }
     // Per-sender FIFO: the final partial batches precede this
     // instance's `Eos` tokens.
-    ctx.flush_outputs(&shared, true);
+    dp.ctx.flush_outputs(&shared, true);
     for &succ in &successors {
         let _ = shared.inboxes[succ].send(Msg::Eos);
     }
@@ -1972,39 +1795,62 @@ fn operator_loop(
     InstanceReport {
         po: PoId(po_idx),
         instance,
-        state,
-        processed,
+        state: dp.state,
+        processed: dp.processed,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::CountOperator;
+    use crate::operator::{CountOperator, IdentityOperator};
     use crate::router::{ModuloRouter, ShiftedRouter};
     use crate::topology::Topology;
 
-    /// n sources emitting `total/n` tuples each of (c % keys, c % keys).
-    fn chain(n: usize, keys: u64, total: u64) -> Topology {
+    /// The keys source `i` of an `n`-source [`chain`] emits, in order:
+    /// `total / n` steps of an additive walk, modulo `keys`.
+    fn chain_keys(i: usize, n: usize, keys: u64, total: u64) -> impl Iterator<Item = u64> {
+        let mut c = i as u64;
+        (0..total / n as u64).map(move |_| {
+            c = c.wrapping_add(0x9e37_79b9);
+            c % keys
+        })
+    }
+
+    /// `n` sources emitting [`chain_keys`] as `(k, k)` tuples at
+    /// `rate`, then `A` (counts, fields 0) → `B` (fields 1).
+    fn chain_with(
+        n: usize,
+        keys: u64,
+        total: u64,
+        rate: SourceRate,
+        b_op: crate::operator::OperatorFactory,
+    ) -> Topology {
         let mut b = Topology::builder();
-        let s = b.source("S", n, SourceRate::Saturate, move |i| {
-            let mut c = i as u64;
-            let mut left = total / n as u64;
+        let s = b.source("S", n, rate, move |i| {
+            let mut stream = chain_keys(i, n, keys, total);
             Box::new(move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                c = c.wrapping_add(0x9e37_79b9);
-                let k = c % keys;
-                Some(Tuple::new([Key::new(k), Key::new(k)], 0))
+                stream
+                    .next()
+                    .map(|k| Tuple::new([Key::new(k), Key::new(k)], 0))
             })
         });
         let a = b.stateful("A", n, CountOperator::factory());
-        let bb = b.stateful("B", n, CountOperator::factory());
+        let bb = b.stateful("B", n, b_op);
         b.connect(s, a, Grouping::fields(0));
         b.connect(a, bb, Grouping::fields(1));
         b.build().unwrap()
+    }
+
+    /// A saturating [`chain_with`] counting at both hops.
+    fn chain(n: usize, keys: u64, total: u64) -> Topology {
+        chain_with(
+            n,
+            keys,
+            total,
+            SourceRate::Saturate,
+            CountOperator::factory(),
+        )
     }
 
     fn counts_of(reports: &[InstanceReport], po: PoId) -> HashMap<Key, u64> {
@@ -2020,25 +1866,8 @@ mod tests {
     /// [`chain`] with sources rate-limited to 50k tuples/s each, so
     /// the stream comfortably outlives a reconfiguration wave.
     fn paced_chain(n: usize, keys: u64, total: u64) -> Topology {
-        let mut b = Topology::builder();
-        let s = b.source("S", n, SourceRate::PerSecond(50_000.0), move |i| {
-            let mut c = i as u64;
-            let mut left = total / n as u64;
-            Box::new(move || {
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                c = c.wrapping_add(0x9e37_79b9);
-                let k = c % keys;
-                Some(Tuple::new([Key::new(k), Key::new(k)], 0))
-            })
-        });
-        let a = b.stateful("A", n, CountOperator::factory());
-        let bb = b.stateful("B", n, CountOperator::factory());
-        b.connect(s, a, Grouping::fields(0));
-        b.connect(a, bb, Grouping::fields(1));
-        b.build().unwrap()
+        let rate = SourceRate::PerSecond(50_000.0);
+        chain_with(n, keys, total, rate, CountOperator::factory())
     }
 
     /// Swaps hop A→B of a [`chain`] to modulo routing with the matching
@@ -2325,66 +2154,149 @@ mod tests {
         (states, edges, pair_counts)
     }
 
+    /// The [`Fingerprint`] a [`chain`] run on an aligned placement
+    /// must produce, folded from [`chain_keys`] without the runtime:
+    /// each key counted at its [`HashRouter`] owner on both hops, each
+    /// transfer local exactly when sender and receiver share a server,
+    /// and one `(k, k)` pair observed on `A`'s out edge per tuple.
+    fn chain_oracle(n: usize, keys: u64, total: u64, servers: usize) -> Fingerprint {
+        let mut owned: Vec<HashMap<Key, u64>> = vec![HashMap::new(); n];
+        let mut edges = vec![(0u64, 0u64); 2];
+        let mut hop = |edge: usize, from: usize, to: usize| {
+            if from % servers == to % servers {
+                edges[edge].0 += 1;
+            } else {
+                edges[edge].1 += 1;
+            }
+        };
+        for i in 0..n {
+            for k in chain_keys(i, n, keys, total) {
+                let key = Key::new(k);
+                // Both hops route the same key (fields 0 and 1 are equal).
+                let a = HashRouter.route(key, n) as usize;
+                let b = HashRouter.route(key, n) as usize;
+                hop(0, i, a);
+                hop(1, a, b);
+                *owned[a].entry(key).or_insert(0) += 1;
+            }
+        }
+        let sorted = |m: &HashMap<Key, u64>| {
+            let mut kv: Vec<(Key, u64)> = m.iter().map(|(&k, &c)| (k, c)).collect();
+            kv.sort_unstable();
+            kv
+        };
+        let mut states = Vec::new();
+        for po in 0..3 {
+            for (i, m) in owned.iter().enumerate() {
+                // Sources hold no state.
+                let kv = if po == 0 { Vec::new() } else { sorted(m) };
+                states.push((po, i, kv));
+            }
+        }
+        let mut pairs: Vec<((Key, Key), u64)> =
+            owned.iter().flatten().map(|(&k, &c)| ((k, k), c)).collect();
+        pairs.sort_unstable();
+        (states, edges, pairs)
+    }
+
     #[test]
-    fn batching_is_bit_identical_to_unbatched() {
-        // Same topology, same deterministic fields-grouped routing:
-        // the only difference is how many tuples ride per channel
-        // message. Final operator state AND the per-edge locality
-        // statistics must match exactly.
-        let unbatched = run_fingerprint(
-            chain(3, 12, 30_000),
-            3,
-            LiveConfig {
-                batch_size: 1,
+    fn every_batch_size_matches_the_oracle() {
+        // The reference is a pure fold of the generators, not another
+        // runtime mode: operator state, per-edge locality and pair
+        // observations must come out exactly as folded, whether tuples
+        // travel one per message or in batches of up to 1024.
+        let (n, keys, total) = (3, 12, 30_000);
+        let oracle = chain_oracle(n, keys, total, n);
+        for batch_size in [1, 2, 64, 1024] {
+            let config = LiveConfig {
+                batch_size,
                 ..LiveConfig::default()
-            },
-        );
-        for batch_size in [2, 64, 1024] {
-            let batched = run_fingerprint(
-                chain(3, 12, 30_000),
-                3,
-                LiveConfig {
-                    batch_size,
-                    ..LiveConfig::default()
-                },
-            );
+            };
             assert_eq!(
-                unbatched, batched,
-                "batch_size={batch_size} changed state or locality stats"
+                run_fingerprint(chain(n, keys, total), n, config),
+                oracle,
+                "batch_size={batch_size}: state or locality stats diverged from the fold"
             );
         }
     }
 
     #[test]
-    fn columnar_is_bit_identical_to_per_tuple() {
-        // The tentpole equivalence gate: run-length routing, bulk
-        // counter adds, batched operator dispatch and coalesced
-        // observer runs must leave operator state, locality statistics
-        // and pair-observation totals exactly as the per-tuple path
-        // does — across degenerate, default and jumbo batch sizes.
-        for batch_size in [1, 64, 1024] {
-            let per_tuple = run_fingerprint(
-                chain(3, 12, 30_000),
-                3,
-                LiveConfig {
-                    batch_size,
-                    columnar: false,
-                    ..LiveConfig::default()
-                },
-            );
-            let columnar = run_fingerprint(
-                chain(3, 12, 30_000),
-                3,
-                LiveConfig {
-                    batch_size,
-                    columnar: true,
-                    ..LiveConfig::default()
-                },
-            );
-            assert_eq!(
-                per_tuple, columnar,
-                "batch_size={batch_size}: columnar path diverged"
-            );
+    fn shuffle_and_fan_out_edges_deliver_like_the_fold() {
+        // S →shuffle→ P →local-or-shuffle→ Q, and Q feeds two counting
+        // sinks on different fields. Every edge kind goes through the
+        // batch router; every count is checked against a fold.
+        let (n, keys, total) = (3, 12, 30_000u64);
+        let mut b = Topology::builder();
+        let s = b.source("S", n, SourceRate::Saturate, move |i| {
+            let mut stream = chain_keys(i, n, keys, total);
+            Box::new(move || {
+                stream
+                    .next()
+                    .map(|k| Tuple::new([Key::new(k), Key::new(k % 5)], 0))
+            })
+        });
+        let p = b.stateless("P", n, IdentityOperator::factory());
+        let q = b.stateless("Q", n, IdentityOperator::factory());
+        let c0 = b.stateful("C0", n, CountOperator::factory());
+        let c1 = b.stateful("C1", n, CountOperator::factory());
+        let shuffle = b.connect(s, p, Grouping::Shuffle);
+        let los = b.connect(p, q, Grouping::LocalOrShuffle);
+        b.connect(q, c0, Grouping::fields(0));
+        b.connect(q, c1, Grouping::fields(1));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        let shared = Arc::clone(&rt.shared);
+        let reports = rt.join();
+
+        // Source i's round-robin counter starts at i and advances
+        // before each pick, so its j-th tuple goes to P#(i + 1 + j).
+        let mut per_p = vec![0u64; n];
+        let mut shuffle_local = 0u64;
+        let mut sinks = vec![vec![HashMap::<Key, u64>::new(); n]; 2];
+        for i in 0..n {
+            for (j, k) in chain_keys(i, n, keys, total).enumerate() {
+                let dest = (i + 1 + j) % n;
+                per_p[dest] += 1;
+                shuffle_local += u64::from(dest == i);
+                for (field, key) in [Key::new(k), Key::new(k % 5)].into_iter().enumerate() {
+                    let owner = HashRouter.route(key, n) as usize;
+                    *sinks[field][owner].entry(key).or_insert(0) += 1;
+                }
+            }
+        }
+        let processed = |po: PoId| -> Vec<u64> {
+            reports
+                .iter()
+                .filter(|r| r.po == po)
+                .map(|r| r.processed)
+                .collect()
+        };
+        assert_eq!(processed(p), per_p, "shuffle assignment changed");
+        // Q has an instance on every server, so each P instance keeps
+        // its whole output local.
+        assert_eq!(processed(q), per_p);
+        let edge = |e: EdgeId| {
+            let c = &shared.edges[e.index()];
+            (
+                c.local.load(Ordering::Relaxed),
+                c.remote.load(Ordering::Relaxed),
+            )
+        };
+        assert_eq!(edge(shuffle), (shuffle_local, total - shuffle_local));
+        assert_eq!(edge(los), (total, 0), "local-or-shuffle went remote");
+        for (sink, expected) in [c0, c1].into_iter().zip(&sinks) {
+            let states: Vec<HashMap<Key, u64>> = reports
+                .iter()
+                .filter(|r| r.po == sink)
+                .map(|r| {
+                    r.state
+                        .iter()
+                        .map(|(&k, v)| (k, v.as_count().unwrap()))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(&states, expected, "sink {sink:?} counts diverged");
         }
     }
 
@@ -2448,40 +2360,56 @@ mod tests {
         assert_eq!(get("live_batch_tuples_total"), Some(0));
     }
 
+    /// A [`CountOperator`] that tallies which entry point each tuple
+    /// came through: per-tuple `process` or run-wise `on_batch`.
+    struct EntryTally {
+        process: Arc<AtomicU64>,
+        on_batch: Arc<AtomicU64>,
+    }
+
+    impl Operator for EntryTally {
+        fn process(&mut self, tuple: Tuple, ctx: &mut OpContext<'_>) {
+            self.process.fetch_add(1, Ordering::Relaxed);
+            CountOperator.process(tuple, ctx);
+        }
+
+        fn on_batch(&mut self, tuples: &[Tuple], ctx: &mut OpContext<'_>) {
+            self.on_batch
+                .fetch_add(tuples.len() as u64, Ordering::Relaxed);
+            CountOperator.on_batch(tuples, ctx);
+        }
+    }
+
     #[test]
-    fn columnar_fallback_counter_flags_post_wave_batches() {
-        let fallbacks = |wave: bool| {
-            let metrics = Arc::new(MetricsRegistry::new());
-            let topo = paced_chain(3, 9, 30_000);
-            let placement = Placement::aligned(&topo, 3);
-            let config = LiveConfig {
-                metrics: Some(Arc::clone(&metrics)),
-                ..LiveConfig::default()
-            };
-            let rt = LiveRuntime::start(topo, placement, 3, config);
-            std::thread::sleep(Duration::from_millis(20));
-            if wave {
-                rt.reconfigure(hash_to_modulo(3, 9));
-            }
-            let _ = rt.join();
-            metrics
-                .snapshot()
-                .into_iter()
-                .find(|(n, _)| n == "live_columnar_fallback_batches_total")
-                .map(|(_, v)| v)
-                .expect("counter registered")
-        };
-        assert_eq!(
-            fallbacks(false),
-            0,
-            "a quiet run never leaves the columnar path"
-        );
+    fn migrating_wave_keeps_every_tuple_on_the_batch_path() {
         // Instances that shipped state keep their departed keys until
-        // the next wave, so every later batch takes the per-tuple path.
-        assert!(
-            fallbacks(true) > 0,
-            "post-wave fallback batches not counted"
+        // the next wave; their later batches must still be dispatched
+        // run by run, never one tuple at a time.
+        let (n, keys, total) = (3, 9, 30_000);
+        let process = Arc::new(AtomicU64::new(0));
+        let on_batch = Arc::new(AtomicU64::new(0));
+        let (p, b) = (Arc::clone(&process), Arc::clone(&on_batch));
+        let factory: crate::operator::OperatorFactory = Box::new(move |_| {
+            Box::new(EntryTally {
+                process: Arc::clone(&p),
+                on_batch: Arc::clone(&b),
+            })
+        });
+        let topo = chain_with(n, keys, total, SourceRate::PerSecond(50_000.0), factory);
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        std::thread::sleep(Duration::from_millis(20));
+        rt.reconfigure(hash_to_modulo(n, keys));
+        let reports = rt.join();
+        assert_eq!(
+            process.load(Ordering::Relaxed),
+            0,
+            "tuples left the batch path"
         );
+        assert_eq!(on_batch.load(Ordering::Relaxed), total);
+        let b_counts = counts_of(&reports, PoId(2));
+        assert_eq!(b_counts.values().sum::<u64>(), total);
+        assert_eq!(b_counts, counts_of(&reports, PoId(1)));
     }
 
     /// An operator that only tallies the tuples it processes.
@@ -2549,6 +2477,120 @@ mod tests {
              while the generator blocked"
         );
         assert_eq!(seen.load(Ordering::Relaxed), 64);
+    }
+
+    /// Tallies the tuples it receives; its first batch signals `entered`
+    /// and then blocks until `unblock` fires, keeping the instance busy.
+    struct BusyOnce {
+        seen: Arc<AtomicU64>,
+        gate: Option<(Sender<()>, Receiver<()>)>,
+    }
+
+    impl Operator for BusyOnce {
+        fn process(&mut self, tuple: Tuple, ctx: &mut OpContext<'_>) {
+            self.on_batch(std::slice::from_ref(&tuple), ctx);
+        }
+
+        fn on_batch(&mut self, tuples: &[Tuple], _ctx: &mut OpContext<'_>) {
+            self.seen.fetch_add(tuples.len() as u64, Ordering::Relaxed);
+            if let Some((entered, unblock)) = self.gate.take() {
+                let _ = entered.send(());
+                let _ = unblock.recv();
+            }
+        }
+    }
+
+    #[test]
+    fn source_hands_held_tuples_to_a_receiver_that_parks_mid_stage() {
+        // Stage 1 reaches the parked receiver, which then stays busy
+        // while stage 2 is routed, so stage 2 is held (half a buffer).
+        // The receiver parks once released; the generator makes
+        // `PARKED_CHECK` more calls and then blocks. Stage 2 must be
+        // handed over meanwhile, not when stage 3 is routed.
+        let (go_tx, go_rx) = bounded::<()>(1);
+        let (entered_tx, entered_rx) = bounded::<()>(1);
+        let (unblock_tx, unblock_rx) = bounded::<()>(1);
+        let (held_tx, held_rx) = bounded::<()>(1);
+        let (resume_tx, resume_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let gates = Mutex::new(Some((go_rx, entered_rx, held_tx, resume_rx, release_rx)));
+        let seen = Arc::new(AtomicU64::new(0));
+        let tally = Arc::clone(&seen);
+        let busy = Mutex::new(Some((entered_tx, unblock_rx)));
+        let last = 128 + PARKED_CHECK;
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::Saturate, move |_| {
+            let (go, entered, held, resume, release) =
+                gates.lock().take().expect("one source instance");
+            let mut next = 0usize;
+            Box::new(move || {
+                match next {
+                    0 => {
+                        let _ = go.recv();
+                    }
+                    // Stage 2 starts only once the receiver is busy.
+                    64 => {
+                        let _ = entered.recv();
+                    }
+                    // Stage 2 has been routed.
+                    128 => {
+                        let _ = held.send(());
+                        let _ = resume.recv();
+                    }
+                    n if n == last => {
+                        let _ = release.recv();
+                        return None;
+                    }
+                    _ => {}
+                }
+                next += 1;
+                Some(Tuple::new([Key::new(0)], 0))
+            })
+        });
+        let a = b.stateless(
+            "A",
+            1,
+            Box::new(move |_| {
+                Box::new(BusyOnce {
+                    seen: Arc::clone(&tally),
+                    gate: busy.lock().take(),
+                }) as Box<dyn Operator>
+            }),
+        );
+        b.connect(s, a, Grouping::fields(0));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, 1);
+        let config = LiveConfig {
+            batch_size: 128,
+            ..LiveConfig::default()
+        };
+        let rt = LiveRuntime::start(topo, placement, 1, config);
+        let parked = &rt.shared.parked[1];
+        let is_parked = || parked.load(Ordering::Relaxed);
+        assert!(
+            wait_for(Duration::from_secs(5), is_parked),
+            "receiver never parked"
+        );
+        go_tx.send(()).unwrap();
+        held_rx.recv().unwrap();
+        let held_back = seen.load(Ordering::Relaxed);
+        unblock_tx.send(()).unwrap();
+        let reparked = wait_for(Duration::from_secs(5), is_parked);
+        resume_tx.send(()).unwrap();
+        let delivered = wait_for(Duration::from_secs(5), || {
+            seen.load(Ordering::Relaxed) == 128
+        });
+        let before_release = seen.load(Ordering::Relaxed);
+        release_tx.send(()).unwrap();
+        let _ = rt.join();
+        assert_eq!(held_back, 64, "stage 2 was not held for the busy receiver");
+        assert!(reparked, "receiver never parked again");
+        assert!(
+            delivered,
+            "only {before_release} of 128 tuples reached the parked receiver \
+             while the generator blocked"
+        );
+        assert_eq!(seen.load(Ordering::Relaxed), last as u64);
     }
 
     #[test]

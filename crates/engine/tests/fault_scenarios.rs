@@ -230,22 +230,25 @@ fn recorded_fault_seeds_drain_and_reproduce() {
 
 // ---- live-runtime fault scenarios ---------------------------------
 
+/// The keys source `i` of a [`live_chain`] emits, in order.
+fn live_keys(i: usize, total: u64) -> impl Iterator<Item = u64> {
+    let mut c = i as u64;
+    (0..total / PARALLELISM as u64).map(move |_| {
+        c = c.wrapping_add(0x9e37_79b9);
+        c % KEYS
+    })
+}
+
 /// Rate-limited finite chain for the live runtime, mirroring the sim
 /// topology. Returns the builder handles the tests need: `(topology,
 /// source po, A po, S→A edge)`.
 fn live_chain(total: u64, rate: f64) -> (Topology, PoId, PoId, EdgeId) {
     let mut b = Topology::builder();
     let s = b.source("S", PARALLELISM, SourceRate::PerSecond(rate), move |i| {
-        let mut c = i as u64;
-        let mut left = total / PARALLELISM as u64;
+        let mut keys = live_keys(i, total);
         Box::new(move || {
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
-            c = c.wrapping_add(0x9e37_79b9);
-            let k = c % KEYS;
-            Some(Tuple::new([Key::new(k), Key::new(k)], 0))
+            keys.next()
+                .map(|k| Tuple::new([Key::new(k), Key::new(k)], 0))
         })
     });
     let a = b.stateful("A", PARALLELISM, CountOperator::factory());
@@ -330,6 +333,71 @@ fn live_wave_retries_after_lost_send_reconf() {
         .map(|r| r.processed)
         .sum();
     assert_eq!(a_processed, total);
+}
+
+/// Lost root ⑤ `PROPAGATE`: every `A` instance waits for a propagate
+/// that never comes, while the other sources already route by the new
+/// table. The retry's `ForceApply` applies at `A` while tuples the
+/// stalled source routed by the old table are still in flight, so
+/// their departed keys are forwarded to the new owners. Counts must
+/// still be exact per key, with one owner per key: the new table's.
+#[test]
+fn live_wave_recovers_from_lost_root_propagate() {
+    let total = 30_000u64;
+    // The sources pace themselves inside the generator, so a source is
+    // almost always drawing a stage: when the retry's `ForceApply`
+    // reaches the stalled one, it still routes the stage it is drawing
+    // by the old table, after `A` has applied.
+    let mut b = Topology::builder();
+    let s = b.source("S", PARALLELISM, SourceRate::Saturate, move |i| {
+        let mut keys = live_keys(i, total);
+        Box::new(move || {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            keys.next()
+                .map(|k| Tuple::new([Key::new(k), Key::new(k)], 0))
+        })
+    });
+    let a = b.stateful("A", PARALLELISM, CountOperator::factory());
+    let hop = b.connect(s, a, Grouping::fields(0));
+    let topo = b.build().unwrap();
+    let placement = Placement::aligned(&topo, PARALLELISM);
+    let rt = LiveRuntime::start(topo, placement, PARALLELISM, LiveConfig::default());
+    rt.install_fault_plan(FaultPlan::new().with(FaultEvent::DropControl {
+        class: ControlClass::Propagate,
+        occurrence: 0,
+    }));
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let wave = WaveConfig {
+        deadline_windows: 3,
+        max_retries: 2,
+        backoff: 1,
+    };
+    rt.reconfigure_with_deadline(live_modulo_plan(s, a, hop), wave)
+        .expect("the retry force-applies past the lost propagate");
+    let reports = rt.join();
+
+    let mut expected: HashMap<Key, u64> = HashMap::new();
+    for i in 0..PARALLELISM {
+        for k in live_keys(i, total) {
+            *expected.entry(Key::new(k)).or_insert(0) += 1;
+        }
+    }
+    let mut counted: HashMap<Key, u64> = HashMap::new();
+    for r in reports.iter().filter(|r| r.po == a) {
+        for (&key, state) in &r.state {
+            assert_eq!(
+                r.instance as u64,
+                key.value() % PARALLELISM as u64,
+                "key {key} not at its new owner"
+            );
+            let previous = counted.insert(key, state.as_count().unwrap());
+            assert!(previous.is_none(), "key {key} owned twice");
+        }
+    }
+    assert_eq!(
+        counted, expected,
+        "per-key counts at A diverged from the stream"
+    );
 }
 
 /// An injected ③ `SEND_RECONF` delay must be honored to its configured
