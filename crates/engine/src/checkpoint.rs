@@ -85,7 +85,7 @@ impl ClusterCheckpoint {
 /// [`Simulation::restore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// A reconfiguration wave or pending migration is in flight;
+    /// A reconfiguration wave or a state migration is in flight;
     /// snapshotting mid-migration would capture a split state.
     ReconfigurationInFlight,
     /// The checkpoint's shape does not match this deployment.
@@ -118,24 +118,10 @@ impl Simulation {
         if self.reconfig_active() || self.pending_migrations() > 0 {
             return Err(CheckpointError::ReconfigurationInFlight);
         }
-        let states = self.pois.iter().map(|p| p.state.clone()).collect();
-        let routers = self
-            .pois
-            .iter()
-            .map(|p| {
-                p.out
-                    .iter()
-                    .filter_map(|o| match &o.kind {
-                        OutKind::Fields { router, .. } => Some((o.edge, Arc::clone(router))),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect();
         Ok(ClusterCheckpoint {
             window_index: self.window_index(),
-            states,
-            routers,
+            states: self.pois.iter().map(|p| p.state.clone()).collect(),
+            routers: self.snapshot_routers(),
         })
     }
 
@@ -176,13 +162,8 @@ impl Simulation {
             .iter_mut()
             .zip(checkpoint.states.iter().zip(&checkpoint.routers))
         {
-            dropped += poi.input.len() as i64;
-            dropped += poi.pending.values().map(|b| b.len() as i64).sum::<i64>();
+            dropped += (poi.input.len() + poi.wave.reset()) as i64;
             poi.input.clear();
-            poi.pending.clear();
-            poi.departed.clear();
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
             poi.state = state.clone();
             for (edge, router) in routers {
                 for out in poi.out.iter_mut() {

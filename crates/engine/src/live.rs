@@ -9,7 +9,9 @@
 //! with real backpressure. The reconfiguration wave (SEND_RECONF →
 //! ACK → PROPAGATE → MIGRATE with tuple buffering) is the same
 //! algorithm, here exercised against genuine concurrency instead of
-//! deterministic windows. "Servers" are placement tags: transfers
+//! deterministic windows: every instance, source or operator, applies
+//! the per-instance rules of `wave.rs` and only adds the channel I/O
+//! ([`WorkerCtx::on_wave`]). "Servers" are placement tags: transfers
 //! between instances with different tags are counted as remote, so
 //! locality statistics remain meaningful even though everything runs
 //! in one process.
@@ -21,7 +23,7 @@
 //! [`LiveRuntime::join`] returns exactly when the pipeline has fully
 //! drained.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,15 +38,14 @@ use crate::key::Key;
 use crate::obs::{Counter, MetricsRegistry, SpanRecorder, SpanSampler};
 use crate::operator::{OpContext, Operator, StateValue};
 use crate::reconfig::{ReconfigError, WaveConfig};
-
-/// Per-edge router updates carried by a `Reconf` message.
-type RouterUpdates = Vec<(EdgeId, Arc<dyn KeyRouter>)>;
-/// Keys and their moved state carried by one ⑥ `Migrate` message.
-type MigratedKeys = Vec<(Key, Option<StateValue>)>;
 use crate::router::{push_dest_run, DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
+use crate::wave::{split_plan, Admit, WaveInstance, WaveMsg};
+
+/// Keys and their moved state carried by one ⑥ `Migrate` message.
+type MigratedKeys = Vec<(Key, Option<StateValue>)>;
 
 /// Messages on an instance's inbox. Data and control share one FIFO
 /// channel per receiver (like a TCP connection in Storm), so per-
@@ -57,14 +58,9 @@ enum Msg {
     /// message instead of `len()`); the receiver processes them in
     /// order, so FIFO semantics are identical to `len()` `Data`s.
     Batch(Vec<Tuple>),
-    /// ③ New configuration for this instance.
-    Reconf {
-        routers: RouterUpdates,
-        send: Vec<(Key, usize)>,
-        receive: Vec<Key>,
-    },
-    /// ⑤ One predecessor instance (or the coordinator) has switched.
-    Propagate,
+    /// ③, ⑤ or a forced apply, handled alike at sources and operators
+    /// by [`WorkerCtx::on_wave`].
+    Wave(WaveMsg),
     /// ⑥ Migrated state for the keys this instance now owns, bundled
     /// per sender: one message per destination per wave, in the order
     /// the sender's plan lists the keys.
@@ -73,11 +69,6 @@ enum Msg {
     Eos,
     /// Snapshot request: reply with a clone of the keyed state.
     StateProbe(Sender<HashMap<Key, StateValue>>),
-    /// Wave recovery: apply the staged configuration *now*, without
-    /// waiting for the remaining predecessor propagates (the manager
-    /// resends this when ⑤ messages were lost and the wave deadline
-    /// expired).
-    ForceApply,
     /// Fault injection: the instance "crashes" — keyed state, queued
     /// messages and any staged wave configuration are lost — then
     /// respawns with the carried checkpoint state.
@@ -95,6 +86,17 @@ enum CoordMsg {
     Applied(usize),
     /// An instance shut down (its `Eos` tokens are out).
     Exited(usize),
+}
+
+/// The furthest the coordinator has heard one instance get in the
+/// running wave; it only moves forward. An exited instance counts as
+/// done — its `Eos` tokens are out and it holds no state to move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Heard {
+    Nothing,
+    Acked,
+    Applied,
+    Exited,
 }
 
 /// Per-edge transfer counters shared with the caller.
@@ -339,10 +341,16 @@ fn send_batch(shared: &WorkerShared, dest_idx: usize, batch: Vec<Tuple>) {
     let _ = shared.inboxes[dest_idx].send(Msg::Batch(batch));
 }
 
-/// Per-worker context threaded through the routing helper.
+/// Per-worker context: routing, and this instance's side of the wave.
 struct WorkerCtx {
     po_idx: usize,
     my_idx: usize,
+    /// Every instance of every successor operator (for ⑤ and `Eos`).
+    successors: Vec<usize>,
+    /// Predecessor instances, each of which sends one `Eos`.
+    preds: usize,
+    /// The wave rules (Algorithm 1) for this instance.
+    wave: WaveInstance<Tuple>,
     rr: usize,
     overrides: HashMap<usize, Arc<dyn KeyRouter>>,
     /// Per out edge: the destination instances on this worker's server
@@ -376,9 +384,24 @@ impl WorkerCtx {
                     .collect()
             })
             .collect();
+        let successors = shared.outs[po_idx]
+            .iter()
+            .flat_map(|out| {
+                let base = shared.poi_base[out.dest_po];
+                (0..shared.parallelism[out.dest_po]).map(move |i| base + i)
+            })
+            .collect();
+        let preds = (shared.outs.iter().enumerate())
+            .map(|(po, outs)| {
+                outs.iter().filter(|out| out.dest_po == po_idx).count() * shared.parallelism[po]
+            })
+            .sum();
         Self {
             po_idx,
             my_idx,
+            successors,
+            preds,
+            wave: WaveInstance::new(preds),
             rr: instance,
             overrides: HashMap::new(),
             locals,
@@ -431,6 +454,95 @@ impl WorkerCtx {
     fn discard_outputs(&mut self) {
         for buf in &mut self.out_buf {
             buf.clear();
+        }
+    }
+
+    /// ③ and ⑤ at any instance, source or operator: the channel I/O
+    /// around [`WaveInstance`]. An apply flushes data routed under the
+    /// old tables, swaps the tables, ships ⑥ out of `state`, forwards ⑤
+    /// and tells the coordinator; a ⑤ that applies nothing is ignored.
+    fn on_wave(
+        &mut self,
+        shared: &WorkerShared,
+        state: &mut HashMap<Key, StateValue>,
+        msg: WaveMsg,
+    ) {
+        let applied = match msg {
+            WaveMsg::Reconf(staged) => {
+                self.flush_outputs(shared, true);
+                self.wave.stage(staged);
+                let _ = shared.coord.send(CoordMsg::Ack(self.my_idx));
+                return;
+            }
+            WaveMsg::Propagate => self.wave.propagate(false),
+            WaveMsg::ForceApply => self.wave.propagate(true),
+        };
+        let Some(staged) = applied else {
+            return;
+        };
+        // Tuples routed under the old tables stay ahead of the ⑤ this
+        // apply forwards, in every channel (per-sender FIFO).
+        self.flush_outputs(shared, true);
+        for (edge, router) in staged.routers {
+            self.overrides.insert(edge.index(), router);
+        }
+        // ⑥ bundled per destination: one message per peer, so a wave
+        // never needs more free inbox slots at a peer than it has
+        // destinations. The injector still decides per key, in plan
+        // order.
+        let mut bundles: Vec<(usize, MigratedKeys)> = Vec::new();
+        for (key, dest) in staged.send {
+            let moved = state.remove(&key);
+            let fate = shared
+                .fault
+                .lock()
+                .as_mut()
+                .map_or(ControlFate::Deliver, |inj| {
+                    inj.on_control(ControlClass::Migrate)
+                });
+            // A dropped ⑥ loses the moved state (at-most-once); the new
+            // owner adopts the key with fresh state when it drains.
+            if matches!(fate, ControlFate::Drop) {
+                continue;
+            }
+            shared.hot.migrations_sent.inc();
+            shared
+                .hot
+                .migration_bytes
+                .add(moved.as_ref().map_or(0, StateValue::size_bytes));
+            match bundles.iter_mut().find(|(d, _)| *d == dest) {
+                Some((_, keys)) => keys.push((key, moved)),
+                None => bundles.push((dest, vec![(key, moved)])),
+            }
+        }
+        for (dest, keys) in bundles {
+            let _ = shared.inboxes[dest].send(Msg::Migrate(keys));
+        }
+        for &succ in &self.successors {
+            let _ = shared.inboxes[succ].send(Msg::Wave(WaveMsg::Propagate));
+        }
+        let _ = shared.coord.send(CoordMsg::Applied(self.my_idx));
+    }
+
+    /// Shuts the instance down and reports. The final partial batches
+    /// precede the `Eos` tokens in every successor's channel
+    /// (per-sender FIFO).
+    fn finish(
+        mut self,
+        shared: &WorkerShared,
+        state: HashMap<Key, StateValue>,
+        processed: u64,
+    ) -> InstanceReport {
+        self.flush_outputs(shared, true);
+        for &succ in &self.successors {
+            let _ = shared.inboxes[succ].send(Msg::Eos);
+        }
+        let _ = shared.coord.send(CoordMsg::Exited(self.my_idx));
+        InstanceReport {
+            po: PoId(self.po_idx),
+            instance: self.my_idx - shared.poi_base[self.po_idx],
+            state,
+            processed,
         }
     }
 
@@ -712,28 +824,6 @@ impl LiveRuntime {
         let state_fields: Vec<Option<usize>> = (0..n_pos)
             .map(|po_idx| topology.state_field(PoId(po_idx)))
             .collect();
-        let pred_instances: Vec<usize> = (0..n_pos)
-            .map(|po_idx| {
-                topology
-                    .in_edges(PoId(po_idx))
-                    .iter()
-                    .map(|&e| parallelism[topology.edge(e).from().index()])
-                    .sum()
-            })
-            .collect();
-        let succ_instances: Vec<Vec<usize>> = (0..n_pos)
-            .map(|po_idx| {
-                topology
-                    .out_edges(PoId(po_idx))
-                    .iter()
-                    .flat_map(|&e| {
-                        let to = topology.edge(e).to().index();
-                        let base = poi_base[to];
-                        (0..parallelism[to]).map(move |i| base + i)
-                    })
-                    .collect()
-            })
-            .collect();
         let roots: Vec<usize> = (0..n_pos)
             .filter(|&po| topology.in_edges(PoId(po)).is_empty())
             .flat_map(|po| {
@@ -778,36 +868,24 @@ impl LiveRuntime {
         for (po_idx, po) in pos.into_iter().enumerate() {
             let base = poi_base[po_idx];
             for instance in 0..po.parallelism {
+                let ctx = WorkerCtx::new(po_idx, instance, &shared);
                 let shared = Arc::clone(&shared);
                 let rx = receivers[base + instance].take().expect("unique receiver");
-                let succs = succ_instances[po_idx].clone();
                 match &po.kind {
                     PoKind::Source { factory, rate } => {
                         let gen = factory(instance);
                         let rate = *rate;
                         handles.push(std::thread::spawn(move || {
-                            source_loop(po_idx, instance, gen, rate, shared, succs, rx)
+                            source_loop(ctx, gen, rate, shared, rx)
                         }));
                     }
                     PoKind::Operator { factory, stateful } => {
                         let op = factory(instance);
                         let stateful = *stateful;
                         let state_field = state_fields[po_idx];
-                        let preds = pred_instances[po_idx];
                         let obs = observer_map.remove(&(po_idx, instance)).unwrap_or_default();
                         handles.push(std::thread::spawn(move || {
-                            operator_loop(
-                                po_idx,
-                                instance,
-                                op,
-                                stateful,
-                                state_field,
-                                preds,
-                                succs,
-                                obs,
-                                shared,
-                                rx,
-                            )
+                            operator_loop(ctx, op, stateful, state_field, obs, shared, rx)
                         }));
                     }
                 }
@@ -924,40 +1002,28 @@ impl LiveRuntime {
         wave: WaveConfig,
     ) -> Result<(), ReconfigError> {
         let n = self.n_instances;
-        // Pre-split the plan per instance so retries can resend it.
-        let mut routers: Vec<RouterUpdates> = vec![Vec::new(); n];
-        for (po, edge, router) in &plan.routers {
-            let base = self.shared.poi_base[po.index()];
-            for i in 0..self.shared.parallelism[po.index()] {
-                routers[base + i].push((*edge, Arc::clone(router)));
-            }
-        }
-        let mut send: Vec<Vec<(Key, usize)>> = vec![Vec::new(); n];
-        let mut receive: Vec<Vec<Key>> = vec![Vec::new(); n];
-        for &(po, key, old, new) in &plan.migrations {
-            let base = self.shared.poi_base[po.index()];
-            send[base + old].push((key, base + new));
-            receive[base + new].push(key);
-        }
+        // Split the plan per instance once, so retries can resend it.
+        let (bases, parallelism) = (&self.shared.poi_base, &self.shared.parallelism);
+        let staged = split_plan(
+            n,
+            plan.routers.iter().flat_map(|(po, edge, router)| {
+                let base = bases[po.index()];
+                (0..parallelism[po.index()]).map(move |i| (base + i, *edge, Arc::clone(router)))
+            }),
+            plan.migrations.iter().map(|&(po, key, old, new)| {
+                let base = bases[po.index()];
+                (base + old, key, base + new)
+            }),
+        );
 
-        let mut acked: HashSet<usize> = HashSet::new();
-        let mut applied: HashSet<usize> = HashSet::new();
-        let mut exited: HashSet<usize> = HashSet::new();
+        let mut heard = vec![Heard::Nothing; n];
         // Discard coordinator leftovers of earlier waves; exits are
         // permanent and kept.
         while let Ok(msg) = self.coord_rx.try_recv() {
             if let CoordMsg::Exited(idx) = msg {
-                exited.insert(idx);
+                heard[idx] = Heard::Exited;
             }
         }
-        let staged_done = |acked: &HashSet<usize>,
-                           applied: &HashSet<usize>,
-                           exited: &HashSet<usize>| {
-            (0..n).all(|i| acked.contains(&i) || applied.contains(&i) || exited.contains(&i))
-        };
-        let apply_done = |applied: &HashSet<usize>, exited: &HashSet<usize>| {
-            (0..n).all(|i| applied.contains(&i) || exited.contains(&i))
-        };
 
         // Delay-injected control messages wait here with their real
         // due time instead of blocking the coordinator; they are
@@ -977,18 +1043,14 @@ impl LiveRuntime {
             // injector may drop (recovered by the next attempt) or
             // delay messages (queued with their configured duration).
             for idx in (0..n).rev() {
-                if applied.contains(&idx) || exited.contains(&idx) {
+                if heard[idx] >= Heard::Applied {
                     continue;
                 }
-                let msg = Msg::Reconf {
-                    routers: routers[idx].clone(),
-                    send: send[idx].clone(),
-                    receive: receive[idx].clone(),
-                };
+                let msg = Msg::Wave(WaveMsg::Reconf(staged[idx].clone()));
                 match self.control_fate(ControlClass::SendReconf) {
                     ControlFate::Deliver => {
                         if self.shared.inboxes[idx].send(msg).is_err() {
-                            exited.insert(idx);
+                            heard[idx] = Heard::Exited;
                         }
                     }
                     ControlFate::Drop => {}
@@ -1000,32 +1062,8 @@ impl LiveRuntime {
                 }
             }
 
-            // ④ collect acks until the deadline, delivering queued
-            // delayed messages as they come due.
-            while !staged_done(&acked, &applied, &exited) {
-                deliver_due_timers(&self.shared, &mut timers, &applied, &mut exited);
-                let now = Instant::now();
-                let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let wait = next_timer_due(&timers)
-                    .map_or(left, |due| due.saturating_duration_since(now).min(left));
-                match self.coord_rx.recv_timeout(wait) {
-                    Ok(CoordMsg::Ack(idx)) => {
-                        acked.insert(idx);
-                    }
-                    Ok(CoordMsg::Applied(idx)) => {
-                        applied.insert(idx);
-                    }
-                    Ok(CoordMsg::Exited(idx)) => {
-                        exited.insert(idx);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            if !staged_done(&acked, &applied, &exited) {
+            // ④ collect acks until the deadline.
+            if !self.collect(&mut heard, &mut timers, deadline, Heard::Acked) {
                 continue; // deadline missed in the stage phase: retry
             }
 
@@ -1039,54 +1077,30 @@ impl LiveRuntime {
                         ControlFate::Deliver => {
                             // A dead root is tracked immediately — the
                             // wave must not wait on its apply.
-                            if self.shared.inboxes[root].send(Msg::Propagate).is_err() {
-                                exited.insert(root);
+                            let propagate = Msg::Wave(WaveMsg::Propagate);
+                            if self.shared.inboxes[root].send(propagate).is_err() {
+                                heard[root] = Heard::Exited;
                             }
                         }
                         ControlFate::Drop => {}
                         ControlFate::Delay(d) => timers.push((
                             Instant::now() + Duration::from_millis(100 * d.max(1)),
                             root,
-                            Msg::Propagate,
+                            Msg::Wave(WaveMsg::Propagate),
                         )),
                     }
                 }
             } else {
-                for idx in 0..n {
-                    if !applied.contains(&idx)
-                        && !exited.contains(&idx)
-                        && self.shared.inboxes[idx].send(Msg::ForceApply).is_err()
-                    {
-                        exited.insert(idx);
+                for (idx, got) in heard.iter_mut().enumerate() {
+                    let force = Msg::Wave(WaveMsg::ForceApply);
+                    if *got < Heard::Applied && self.shared.inboxes[idx].send(force).is_err() {
+                        *got = Heard::Exited;
                     }
                 }
             }
 
             // ⑥ wait for every instance to apply, until the deadline.
-            while !apply_done(&applied, &exited) {
-                deliver_due_timers(&self.shared, &mut timers, &applied, &mut exited);
-                let now = Instant::now();
-                let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    break;
-                };
-                let wait = next_timer_due(&timers)
-                    .map_or(left, |due| due.saturating_duration_since(now).min(left));
-                match self.coord_rx.recv_timeout(wait) {
-                    Ok(CoordMsg::Ack(idx)) => {
-                        acked.insert(idx);
-                    }
-                    Ok(CoordMsg::Applied(idx)) => {
-                        applied.insert(idx);
-                    }
-                    Ok(CoordMsg::Exited(idx)) => {
-                        exited.insert(idx);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            if apply_done(&applied, &exited) {
+            if self.collect(&mut heard, &mut timers, deadline, Heard::Applied) {
                 // Bump the routing epoch: span observations recorded
                 // from here on ran under the new tables. Use the
                 // epoch the manager stamped on its tables when
@@ -1100,16 +1114,51 @@ impl LiveRuntime {
                     .unwrap_or(0);
                 let next = (self.shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
                 self.shared.epoch.store(next, Ordering::Relaxed);
-                return if exited.is_empty() {
-                    Ok(())
-                } else {
+                return if heard.contains(&Heard::Exited) {
                     Err(ReconfigError::Nack)
+                } else {
+                    Ok(())
                 };
             }
         }
         Err(ReconfigError::Timeout {
             attempt: last_attempt,
         })
+    }
+
+    /// Collects worker notifications into `heard` until every instance
+    /// got as far as `goal` or `deadline` passes, delivering queued
+    /// delay-injected control messages as they come due. Returns
+    /// whether the goal was met.
+    fn collect(
+        &self,
+        heard: &mut [Heard],
+        timers: &mut Vec<(Instant, usize, Msg)>,
+        deadline: Instant,
+        goal: Heard,
+    ) -> bool {
+        while heard.iter().any(|&h| h < goal) {
+            deliver_due_timers(&self.shared, timers, heard);
+            let now = Instant::now();
+            let Some(left) = deadline
+                .checked_duration_since(now)
+                .filter(|d| !d.is_zero())
+            else {
+                break;
+            };
+            // Wake for the earliest queued delayed message, if sooner.
+            let wait = (timers.iter().map(|t| t.0).min())
+                .map_or(left, |due| due.saturating_duration_since(now).min(left));
+            let (idx, news) = match self.coord_rx.recv_timeout(wait) {
+                Ok(CoordMsg::Ack(idx)) => (idx, Heard::Acked),
+                Ok(CoordMsg::Applied(idx)) => (idx, Heard::Applied),
+                Ok(CoordMsg::Exited(idx)) => (idx, Heard::Exited),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            heard[idx] = heard[idx].max(news);
+        }
+        heard.iter().all(|&h| h >= goal)
     }
 
     /// Arms fault injection: [`DropControl`] / [`DelayControl`] events
@@ -1209,8 +1258,7 @@ impl LiveRuntime {
 fn deliver_due_timers(
     shared: &WorkerShared,
     timers: &mut Vec<(Instant, usize, Msg)>,
-    applied: &HashSet<usize>,
-    exited: &mut HashSet<usize>,
+    heard: &mut [Heard],
 ) {
     let now = Instant::now();
     let mut i = 0;
@@ -1220,18 +1268,10 @@ fn deliver_due_timers(
             continue;
         }
         let (_, idx, msg) = timers.swap_remove(i);
-        if applied.contains(&idx) || exited.contains(&idx) {
-            continue;
-        }
-        if shared.inboxes[idx].send(msg).is_err() {
-            exited.insert(idx);
+        if heard[idx] < Heard::Applied && shared.inboxes[idx].send(msg).is_err() {
+            heard[idx] = Heard::Exited;
         }
     }
-}
-
-/// Earliest due time among the queued delayed control messages.
-fn next_timer_due(timers: &[(Instant, usize, Msg)]) -> Option<Instant> {
-    timers.iter().map(|t| t.0).min()
 }
 
 /// Generator calls between a source's checks for parked receivers
@@ -1239,19 +1279,17 @@ fn next_timer_due(timers: &[(Instant, usize, Msg)]) -> Option<Instant> {
 const PARKED_CHECK: usize = 8;
 
 fn source_loop(
-    po_idx: usize,
-    instance: usize,
+    mut ctx: WorkerCtx,
     mut gen: Box<dyn TupleSource>,
     rate: SourceRate,
     shared: Arc<WorkerShared>,
-    successors: Vec<usize>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let mut ctx = WorkerCtx::new(po_idx, instance, &shared);
-    let my_idx = ctx.my_idx;
     let mut emitted = 0u64;
     let mut stage: Vec<Tuple> = Vec::with_capacity(64);
-    let mut staged: Option<RouterUpdates> = None;
+    // A source holds no keyed state for a wave to ship.
+    let mut no_state = HashMap::new();
+    let mut exhausted = false;
     let mut down = false;
     let batch_sleep = match rate {
         SourceRate::Saturate => None,
@@ -1260,28 +1298,12 @@ fn source_loop(
         )),
     };
     loop {
-        // Participate in the control plane between batches.
+        // Participate in the control plane between batches, and once
+        // more when the stream ends (common race: a wave started just
+        // as the stream ran dry).
         while let Ok(msg) = rx.try_recv() {
             match msg {
-                Msg::Reconf { routers, .. } => {
-                    ctx.flush_outputs(&shared, true);
-                    staged = Some(routers);
-                    let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-                }
-                Msg::Propagate | Msg::ForceApply => {
-                    // Tuples routed under the old tables must reach
-                    // their destinations before the wave does.
-                    ctx.flush_outputs(&shared, true);
-                    if let Some(routers) = staged.take() {
-                        for (edge, router) in routers {
-                            ctx.overrides.insert(edge.index(), router);
-                        }
-                    }
-                    for &succ in &successors {
-                        let _ = shared.inboxes[succ].send(Msg::Propagate);
-                    }
-                    let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-                }
+                Msg::Wave(msg) => ctx.on_wave(&shared, &mut no_state, msg),
                 Msg::StateProbe(reply) => {
                     ctx.flush_outputs(&shared, true);
                     let _ = reply.send(HashMap::new());
@@ -1295,12 +1317,11 @@ fn source_loop(
                 Msg::Data(_) | Msg::Batch(_) | Msg::Migrate(_) | Msg::Eos => {}
             }
         }
-        if down || shared.stop.load(Ordering::Relaxed) {
+        if exhausted || down || shared.stop.load(Ordering::Relaxed) {
             break;
         }
         // Stage up to one batch of generated tuples, then route them
         // as a column: the batch-first data plane begins at the source.
-        let mut exhausted = false;
         stage.clear();
         for i in 0..64 {
             // A generator may block between tuples (a paced stream), and
@@ -1323,7 +1344,7 @@ fn source_loop(
         // once, before entering the data plane. Sampling is decided on
         // the field the (first) fields-grouped out edge routes on.
         if let Some(sampler) = &shared.sampler {
-            if let Some(field) = shared.outs[po_idx].iter().find_map(|o| o.field) {
+            if let Some(field) = shared.outs[ctx.po_idx].iter().find_map(|o| o.field) {
                 sampler.stamp_batch(&mut stage, field, span_now_ns(&shared.clock));
             }
         }
@@ -1333,7 +1354,7 @@ fn source_loop(
         // a partial buffer would wait for `batch_size` more tuples.
         ctx.flush_parked(&shared);
         if exhausted {
-            break;
+            continue;
         }
         if let Some(d) = batch_sleep {
             // A rate-limited source is about to idle: hand off what it
@@ -1343,45 +1364,7 @@ fn source_loop(
             std::thread::sleep(d);
         }
     }
-    // Serve any control messages already queued (common race: a wave
-    // started just as the stream ran dry), then announce the exit.
-    while let Ok(msg) = rx.try_recv() {
-        match msg {
-            Msg::Reconf { routers, .. } => {
-                staged = Some(routers);
-                let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-            }
-            Msg::Propagate | Msg::ForceApply => {
-                ctx.flush_outputs(&shared, true);
-                if let Some(routers) = staged.take() {
-                    for (edge, router) in routers {
-                        ctx.overrides.insert(edge.index(), router);
-                    }
-                }
-                for &succ in &successors {
-                    let _ = shared.inboxes[succ].send(Msg::Propagate);
-                }
-                let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-            }
-            Msg::StateProbe(reply) => {
-                let _ = reply.send(HashMap::new());
-            }
-            Msg::Data(_) | Msg::Batch(_) | Msg::Migrate(_) | Msg::Eos | Msg::Crash { .. } => {}
-        }
-    }
-    // The last partial batches must precede the end-of-stream tokens
-    // in every destination channel (per-sender FIFO).
-    ctx.flush_outputs(&shared, true);
-    for &succ in &successors {
-        let _ = shared.inboxes[succ].send(Msg::Eos);
-    }
-    let _ = shared.coord.send(CoordMsg::Exited(my_idx));
-    InstanceReport {
-        po: PoId(po_idx),
-        instance,
-        state: HashMap::new(),
-        processed: emitted,
-    }
+    ctx.finish(&shared, no_state, emitted)
 }
 
 /// Span recording at one operator instance (see
@@ -1398,7 +1381,8 @@ struct HopSpans {
 }
 
 /// An operator instance's data path: the operator, its keyed state,
-/// and the per-key buffers of the wave protocol (Algorithm 1).
+/// and the worker context whose wave rules (Algorithm 1) decide which
+/// key runs reach the operator.
 struct DataPath {
     op: Box<dyn Operator>,
     stateful: bool,
@@ -1406,13 +1390,6 @@ struct DataPath {
     state: HashMap<Key, StateValue>,
     /// Tuples handed to the operator so far.
     processed: u64,
-    /// Keys whose state is in flight to this instance, with the tuples
-    /// buffered for each until its ⑥ `Migrate` arrives.
-    pending: HashMap<Key, Vec<Tuple>>,
-    /// Keys this instance shipped in the last applied wave, with their
-    /// new owner. Tuples still routed here under old tables are
-    /// forwarded; cleared by the next `Reconf`.
-    departed: HashMap<Key, usize>,
     observers: ObserverSlots,
     emitted: Vec<Tuple>,
     ctx: WorkerCtx,
@@ -1463,7 +1440,7 @@ impl DataPath {
 
     /// The data path, the only way a tuple reaches the operator. Walks
     /// the batch in runs of equal state keys. A run whose key awaits
-    /// migrated state is buffered, a run whose key departed is
+    /// migrated state is buffered, a run whose key's state left is
     /// forwarded to its new owner, and every other run costs one state
     /// lookup and one [`Operator::on_batch`] dispatch. Observers see
     /// coalesced runs, and the emitted tuples are routed once per
@@ -1483,10 +1460,10 @@ impl DataPath {
             self.ctx.route_out_batch(shared, &mut self.emitted);
             return;
         };
-        // Outside a wave both maps are empty, and neither gains or
-        // loses a key while a batch is processed: one check per batch
-        // spares every run the two lookups.
-        let quiet = self.pending.is_empty() && self.departed.is_empty();
+        // Outside a wave no key is buffered or forwarded, and none
+        // starts or stops being so while a batch is processed: one
+        // check per batch spares every run the two lookups.
+        let quiet = self.ctx.wave.is_quiet();
         // Output accumulates across runs and is routed once per batch:
         // routing is order-preserving and appends per destination, so
         // deferring it to the batch boundary leaves every buffer and
@@ -1499,17 +1476,17 @@ impl DataPath {
             rest = tail;
             let key = run[0].key(field);
             if !quiet {
-                if let Some(buf) = self.pending.get_mut(&key) {
-                    buf.extend_from_slice(run);
-                    continue;
-                }
-                if let Some(&owner) = self.departed.get(&key) {
-                    let msg = match run {
-                        [tuple] => Msg::Data(*tuple),
-                        _ => Msg::Batch(run.to_vec()),
-                    };
-                    let _ = shared.inboxes[owner].send(msg);
-                    continue;
+                match self.ctx.wave.admit(key, run) {
+                    Admit::Process => {}
+                    Admit::Buffer { .. } => continue,
+                    Admit::Forward(owner) => {
+                        let msg = match run {
+                            [tuple] => Msg::Data(*tuple),
+                            _ => Msg::Batch(run.to_vec()),
+                        };
+                        let _ = shared.inboxes[owner].send(msg);
+                        continue;
+                    }
                 }
             }
             self.processed += run.len() as u64;
@@ -1564,21 +1541,16 @@ impl DataPath {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn operator_loop(
-    po_idx: usize,
-    instance: usize,
+    ctx: WorkerCtx,
     op: Box<dyn Operator>,
     stateful: bool,
     state_field: Option<usize>,
-    pred_instances: usize,
-    successors: Vec<usize>,
     observers: Vec<(EdgeId, usize, Box<dyn PairObserver>)>,
     shared: Arc<WorkerShared>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let ctx = WorkerCtx::new(po_idx, instance, &shared);
-    let my_idx = ctx.my_idx;
+    let (my_idx, preds) = (ctx.my_idx, ctx.preds);
     let mut slots: ObserverSlots = HashMap::new();
     for (e, f, o) in observers {
         slots.entry(e.index()).or_default().push((f, o));
@@ -1589,21 +1561,15 @@ fn operator_loop(
         state_field,
         state: HashMap::new(),
         processed: 0,
-        pending: HashMap::new(),
-        departed: HashMap::new(),
         observers: slots,
         emitted: Vec::new(),
-        ctx,
         spans: shared.sampler.map(|_| HopSpans {
             rec: SpanRecorder::new(shared.span_metrics.clone()),
-            is_sink: shared.outs[po_idx].is_empty(),
+            is_sink: shared.outs[ctx.po_idx].is_empty(),
             sampled: Vec::new(),
         }),
+        ctx,
     };
-
-    // Reconfiguration runtime.
-    let mut staged: Option<(RouterUpdates, Vec<(Key, usize)>)> = None;
-    let mut awaiting = 0usize;
     let mut eos_seen = 0usize;
 
     // Once every predecessor `Eos` is in but keys are still buffered
@@ -1638,97 +1604,24 @@ fn operator_loop(
         match msg {
             Msg::Data(tuple) => dp.receive(&shared, std::slice::from_ref(&tuple)),
             Msg::Batch(tuples) => dp.receive(&shared, &tuples),
-            Msg::Reconf {
-                routers,
-                send,
-                receive,
-            } => {
-                dp.ctx.flush_outputs(&shared, true);
-                dp.departed.clear();
-                for key in receive {
-                    dp.pending.entry(key).or_default();
-                }
-                awaiting = pred_instances.max(1);
-                staged = Some((routers, send));
-                let _ = shared.coord.send(CoordMsg::Ack(my_idx));
-            }
-            m @ (Msg::Propagate | Msg::ForceApply) => {
-                // ForceApply is the wave driver's retry path: apply
-                // regardless of how many predecessor propagates are
-                // still outstanding (they were lost for good).
-                if matches!(m, Msg::ForceApply) {
-                    awaiting = awaiting.min(1);
-                }
-                awaiting = awaiting.saturating_sub(1);
-                if awaiting == 0 {
-                    if let Some((routers, send)) = staged.take() {
-                        // Flush before switching tables and forwarding
-                        // the wave: buffered tuples were routed under
-                        // the old configuration and must stay ahead of
-                        // the `Propagate`s in every channel.
-                        dp.ctx.flush_outputs(&shared, true);
-                        for (edge, router) in routers {
-                            dp.ctx.overrides.insert(edge.index(), router);
-                        }
-                        // ⑥ bundled per destination: one message per
-                        // peer, so a wave never needs more free inbox
-                        // slots at a peer than it has destinations.
-                        // The injector still decides per key, in plan
-                        // order.
-                        let mut bundles: Vec<(usize, MigratedKeys)> = Vec::new();
-                        for (key, dest) in send {
-                            let moved = dp.state.remove(&key);
-                            dp.departed.insert(key, dest);
-                            let fate = shared
-                                .fault
-                                .lock()
-                                .as_mut()
-                                .map_or(ControlFate::Deliver, |inj| {
-                                    inj.on_control(ControlClass::Migrate)
-                                });
-                            // A dropped ⑥ loses the moved state (at-
-                            // most-once); the new owner adopts the key
-                            // with fresh state when it drains.
-                            if matches!(fate, ControlFate::Drop) {
-                                continue;
-                            }
-                            shared.hot.migrations_sent.inc();
-                            shared
-                                .hot
-                                .migration_bytes
-                                .add(moved.as_ref().map_or(0, StateValue::size_bytes));
-                            match bundles.iter_mut().find(|(d, _)| *d == dest) {
-                                Some((_, keys)) => keys.push((key, moved)),
-                                None => bundles.push((dest, vec![(key, moved)])),
-                            }
-                        }
-                        for (dest, keys) in bundles {
-                            let _ = shared.inboxes[dest].send(Msg::Migrate(keys));
-                        }
-                        for &succ in &successors {
-                            let _ = shared.inboxes[succ].send(Msg::Propagate);
-                        }
-                        let _ = shared.coord.send(CoordMsg::Applied(my_idx));
-                    }
-                }
-            }
+            Msg::Wave(msg) => dp.ctx.on_wave(&shared, &mut dp.state, msg),
             Msg::Migrate(moves) => {
                 for (key, moved) in moves {
                     if let Some(moved) = moved {
                         dp.state.insert(key, moved);
                     }
-                    if let Some(buffered) = dp.pending.remove(&key) {
+                    if let Some(buffered) = dp.ctx.wave.release(key) {
                         dp.process_batch(&shared, &buffered);
                     }
                 }
-                if draining && dp.pending.values().all(Vec::is_empty) {
+                if draining && !dp.ctx.wave.holds_tuples() {
                     break;
                 }
             }
             Msg::Eos => {
                 eos_seen += 1;
-                if eos_seen >= pred_instances {
-                    if dp.pending.values().all(Vec::is_empty) {
+                if eos_seen >= preds {
+                    if !dp.ctx.wave.holds_tuples() {
                         break;
                     }
                     draining = true;
@@ -1744,11 +1637,8 @@ fn operator_loop(
                 // Everything volatile is lost; respawn from the
                 // checkpoint the coordinator carried over.
                 dp.ctx.discard_outputs();
+                dp.ctx.wave.reset();
                 dp.state = restore;
-                dp.pending.clear();
-                dp.departed.clear();
-                staged = None;
-                awaiting = 0;
                 // Queued messages die with the instance — except the
                 // stream-lifecycle `Eos` tokens (a respawned instance
                 // still knows its predecessors finished) and state
@@ -1762,8 +1652,8 @@ fn operator_loop(
                         _ => {}
                     }
                 }
-                if eos_seen >= pred_instances {
-                    if dp.pending.values().all(Vec::is_empty) {
+                if eos_seen >= preds {
+                    if !dp.ctx.wave.holds_tuples() {
                         break;
                     }
                     draining = true;
@@ -1774,30 +1664,10 @@ fn operator_loop(
     // Adopt keys still buffered for a `Migrate` that never came (lost
     // transfer): their state starts fresh — at-most-once — but no
     // tuple is silently discarded.
-    let mut orphans: Vec<Key> = dp
-        .pending
-        .iter()
-        .filter(|(_, buf)| !buf.is_empty())
-        .map(|(&k, _)| k)
-        .collect();
-    orphans.sort_unstable();
-    for key in orphans {
-        let buffered = dp.pending.remove(&key).unwrap_or_default();
+    for (_, buffered) in dp.ctx.wave.take_orphans() {
         dp.process_batch(&shared, &buffered);
     }
-    // Per-sender FIFO: the final partial batches precede this
-    // instance's `Eos` tokens.
-    dp.ctx.flush_outputs(&shared, true);
-    for &succ in &successors {
-        let _ = shared.inboxes[succ].send(Msg::Eos);
-    }
-    let _ = shared.coord.send(CoordMsg::Exited(my_idx));
-    InstanceReport {
-        po: PoId(po_idx),
-        instance,
-        state: dp.state,
-        processed: dp.processed,
-    }
+    dp.ctx.finish(&shared, dp.state, dp.processed)
 }
 
 #[cfg(test)]
@@ -1806,6 +1676,7 @@ mod tests {
     use crate::operator::{CountOperator, IdentityOperator};
     use crate::router::{ModuloRouter, ShiftedRouter};
     use crate::topology::Topology;
+    use std::collections::HashSet;
 
     /// The keys source `i` of an `n`-source [`chain`] emits, in order:
     /// `total / n` steps of an additive walk, modulo `keys`.
@@ -2220,6 +2091,158 @@ mod tests {
         }
     }
 
+    /// `n` sources emitting [`chain_keys`] as `(k, (5k + 1) % keys)`,
+    /// then `A` (counts, fields 0) → `B` (counts, fields 1). Unlike in
+    /// [`chain`], the A→B hop is not trivially local.
+    fn crossed_chain(n: usize, keys: u64, total: u64, rate: SourceRate) -> Topology {
+        let mut b = Topology::builder();
+        let s = b.source("S", n, rate, move |i| {
+            let mut stream = chain_keys(i, n, keys, total);
+            Box::new(move || {
+                stream
+                    .next()
+                    .map(|k| Tuple::new([Key::new(k), Key::new((5 * k + 1) % keys)], 0))
+            })
+        });
+        let a = b.stateful("A", n, CountOperator::factory());
+        let bb = b.stateful("B", n, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(a, bb, Grouping::fields(1));
+        b.build().unwrap()
+    }
+
+    /// `topo` in the simulator, on the same aligned `n`-server
+    /// placement the live runtime gets.
+    fn simulation(topo: Topology, n: usize) -> crate::sim::Simulation {
+        let placement = Placement::aligned(&topo, n);
+        let cluster = crate::cluster::ClusterSpec::lan_10g(n);
+        crate::sim::Simulation::new(topo, cluster, placement, crate::sim::SimConfig::default())
+    }
+
+    /// Per instance of operator `po`, its `(key, count)` state.
+    type InstanceCounts = Vec<HashMap<Key, u64>>;
+
+    fn sim_counts(sim: &crate::sim::Simulation, po: PoId) -> InstanceCounts {
+        (sim.poi_ids(po).into_iter())
+            .map(|poi| {
+                (sim.poi_state(poi).iter())
+                    .map(|(&k, v)| (k, v.as_count().unwrap()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn live_counts(reports: &[InstanceReport], po: PoId) -> InstanceCounts {
+        (reports.iter().filter(|r| r.po == po))
+            .map(|r| {
+                (r.state.iter())
+                    .map(|(&k, v)| (k, v.as_count().unwrap()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn simulator_and_live_runtime_count_the_same_locality() {
+        let (n, keys, total) = (3, 12, 30_000);
+        let mut sim = simulation(crossed_chain(n, keys, total, SourceRate::Saturate), n);
+        let windows = sim.run_until_drained(1_000);
+        assert!(windows < 1_000, "simulation never drained");
+        let topo = crossed_chain(n, keys, total, SourceRate::Saturate);
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        // Every instance announces its exit after its last send, so
+        // the counters are final once all have (without consuming
+        // `rt` the way `join` does).
+        let mut exited = HashSet::new();
+        while exited.len() < rt.instances() {
+            match rt.coord_rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(CoordMsg::Exited(idx)) => {
+                    exited.insert(idx);
+                }
+                Ok(_) => {}
+                Err(e) => panic!("live pipeline never drained: {e:?}"),
+            }
+        }
+        // The fold: a tuple from source i with keys (k, k') crosses
+        // S→A locally when hash(k) lands on server i, and A→B locally
+        // when hash(k) and hash(k') land on the same server.
+        let mut fold = [(0u64, 0u64); 2];
+        for i in 0..n {
+            for k in chain_keys(i, n, keys, total) {
+                let a = HashRouter.route(Key::new(k), n) as usize;
+                let b = HashRouter.route(Key::new((5 * k + 1) % keys), n) as usize;
+                for (edge, local) in [(0, i == a), (1, a == b)] {
+                    let (l, r) = &mut fold[edge];
+                    *if local { l } else { r } += 1;
+                }
+            }
+        }
+        for (e, (local, remote)) in fold.into_iter().enumerate() {
+            let edge = EdgeId(e);
+            let expected = local as f64 / (local + remote) as f64;
+            assert!(expected > 0.0 && expected < 1.0, "edge {e} is one-sided");
+            let sim_locality = sim.metrics().edge_locality(edge, 0);
+            assert_eq!(sim_locality, expected, "sim, edge {e}");
+            assert_eq!(rt.edge_locality(edge), expected, "live, edge {e}");
+        }
+        let _ = rt.join();
+    }
+
+    #[test]
+    fn simulator_and_live_runtime_agree_across_a_migrating_wave() {
+        let (n, keys, total) = (3, 12, 60_000);
+        let live_plan = hash_to_modulo(n, keys);
+
+        // The simulator's sources emit 2000 tuples per window each, so
+        // the wave starts two windows into a ten-window stream.
+        let rate = SourceRate::PerSecond(20_000.0);
+        let mut sim = simulation(crossed_chain(n, keys, total, rate), n);
+        sim.run(2);
+        assert!(sim.metrics().total_emitted() < total, "stream already over");
+        let (a, b) = (sim.poi_ids(PoId(1)), sim.poi_ids(PoId(2)));
+        let plan = crate::reconfig::ReconfigPlan {
+            routers: (a.iter())
+                .map(|&p| (p, EdgeId(1), Arc::new(ModuloRouter) as Arc<dyn KeyRouter>))
+                .collect(),
+            migrations: (live_plan.migrations.iter())
+                .map(|&(_, key, old, new)| (b[old], key, b[new]))
+                .collect(),
+        };
+        sim.start_reconfiguration(plan).unwrap();
+        let windows = sim.run_until_drained(1_000);
+        assert!(windows < 1_000, "simulation never drained");
+
+        let topo = crossed_chain(n, keys, total, SourceRate::PerSecond(50_000.0));
+        let placement = Placement::aligned(&topo, n);
+        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        std::thread::sleep(Duration::from_millis(20));
+        rt.reconfigure(live_plan);
+        let reports = rt.join();
+
+        // The fold: A keeps hash routing, B's keys end at k % n with
+        // every tuple of the stream counted once.
+        let mut fold = vec![vec![HashMap::new(); n]; 2];
+        for i in 0..n {
+            for k in chain_keys(i, n, keys, total) {
+                let (ka, kb) = (Key::new(k), Key::new((5 * k + 1) % keys));
+                let a = HashRouter.route(ka, n) as usize;
+                let b = (kb.value() % n as u64) as usize;
+                *fold[0][a].entry(ka).or_insert(0) += 1;
+                *fold[1][b].entry(kb).or_insert(0) += 1;
+            }
+        }
+        for (po, expected) in [PoId(1), PoId(2)].into_iter().zip(&fold) {
+            let live = live_counts(&reports, po);
+            let mut owners = HashSet::new();
+            for key in live.iter().flat_map(HashMap::keys) {
+                assert!(owners.insert(key), "key {key} of {po:?} has two owners");
+            }
+            assert_eq!(&live, expected, "live counts of {po:?}");
+            assert_eq!(&sim_counts(&sim, po), expected, "sim counts of {po:?}");
+        }
+    }
+
     #[test]
     fn shuffle_and_fan_out_edges_deliver_like_the_fold() {
         // S →shuffle→ P →local-or-shuffle→ Q, and Q feeds two counting
@@ -2382,7 +2405,7 @@ mod tests {
 
     #[test]
     fn migrating_wave_keeps_every_tuple_on_the_batch_path() {
-        // Instances that shipped state keep their departed keys until
+        // Instances that shipped state keep forwarding those keys until
         // the next wave; their later batches must still be dispatched
         // run by run, never one tuple at a time.
         let (n, keys, total) = (3, 9, 30_000);
@@ -2681,6 +2704,34 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         let snapshot = rt.probe_state(PoId(1), 0).expect("instance alive");
         assert!(snapshot.get(&Key::new(1)).and_then(StateValue::as_count) > Some(0));
+        rt.stop();
+        let _ = rt.join();
+    }
+
+    #[test]
+    fn an_idle_source_ignores_a_stray_propagate() {
+        // Nothing is staged anywhere, so a ⑤ must not make the source
+        // apply: no `Applied` and no ⑤ forwarded downstream.
+        let mut b = Topology::builder();
+        let s = b.source("S", 1, SourceRate::PerSecond(10_000.0), |_| {
+            Box::new(|| Some(Tuple::new([Key::new(1)], 0)))
+        });
+        let a = b.stateful("A", 1, CountOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        let topo = b.build().unwrap();
+        let placement = Placement::aligned(&topo, 1);
+        let rt = LiveRuntime::start(topo, placement, 1, LiveConfig::default());
+        rt.shared.inboxes[0]
+            .send(Msg::Wave(WaveMsg::Propagate))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match rt.coord_rx.recv_timeout(left) {
+                Ok(CoordMsg::Applied(idx)) => panic!("instance {idx} applied an unstaged wave"),
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
         rt.stop();
         let _ = rt.join();
     }

@@ -1,12 +1,17 @@
-//! The online reconfiguration mechanism (paper §3.4, Algorithm 1).
+//! The online reconfiguration mechanism (paper §3.4, Algorithm 1) in
+//! the simulator.
 //!
 //! This module implements the *mechanism* side of the protocol — the
 //! wave of control messages, routing-table swaps, state migration and
-//! tuple buffering executed by the operator instances. The *policy*
-//! side (collecting statistics, partitioning the key graph and
-//! computing the [`ReconfigPlan`]) lives in `streamloc-core`'s
-//! `Manager`, mirroring the paper's separation between POIs and the
-//! manager process.
+//! tuple buffering executed by the operator instances. What each
+//! instance does with ③, ⑤ and ⑥ and with every tuple is decided by
+//! the sans-IO rules of `wave.rs`, which the live runtime shares; this
+//! module adds the simulator's I/O (control queue, NIC charging, lost
+//! migrations) and its coordinator (deadlines, rollback, retries,
+//! degradation to hash routing). The *policy* side (collecting
+//! statistics, partitioning the key graph and computing the
+//! [`ReconfigPlan`]) lives in `streamloc-core`'s `Manager`, mirroring
+//! the paper's separation between POIs and the manager process.
 //!
 //! Message flow, following Algorithm 1 (steps ① GET_METRICS and
 //! ② SEND_METRICS are performed by the manager reading the installed
@@ -25,7 +30,7 @@
 //! Data streams are never suspended. A tuple reaching the new owner of
 //! a key before that key's state arrives is buffered (Algorithm 1's
 //! buffering rule); a tuple reaching the *old* owner after its state
-//! departed — possible because in-flight tuples are not flushed — is
+//! left — possible because in-flight tuples are not flushed — is
 //! forwarded to the new owner, preserving exactly-once state updates.
 
 use std::collections::HashMap;
@@ -40,6 +45,7 @@ use crate::operator::StateValue;
 use crate::router::{HashRouter, KeyRouter};
 use crate::sim::{LostMigration, NetMsg, NetPayload, OutKind, Simulation};
 use crate::topology::{EdgeId, Grouping, PoId, PoiId};
+use crate::wave::{split_plan, StagedReconf, WaveMsg};
 
 /// How many times a dropped ⑥ `MIGRATE` message is retransmitted
 /// before the engine recovers the state out of band (from its
@@ -157,19 +163,6 @@ impl Default for WaveConfig {
     }
 }
 
-/// The per-POI payload of a ③ `SEND_RECONF` message.
-pub(crate) struct StagedReconf {
-    pub(crate) routers: Vec<(EdgeId, Arc<dyn KeyRouter>)>,
-    pub(crate) send: Vec<(Key, PoiId)>,
-    pub(crate) receive: Vec<Key>,
-}
-
-/// Control-plane messages exchanged during a wave.
-pub(crate) enum ControlMsg {
-    Reconf(StagedReconf),
-    Propagate,
-}
-
 /// Manager-side progress tracking of the running wave, including the
 /// failure-recovery context: the plan (for retries), the pre-wave
 /// router snapshot (for rollback) and the deadline clock.
@@ -203,10 +196,10 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`ReconfigInProgress`] if a previous wave has not
-    /// finished applying (pending state migrations do not block a new
-    /// wave, matching the paper's continuous operation), or if the
-    /// manager has been killed by fault injection — a dead manager
-    /// cannot orchestrate a wave.
+    /// finished applying (state migrations still in flight do not
+    /// block a new wave, matching the paper's continuous operation),
+    /// or if the manager has been killed by fault injection — a dead
+    /// manager cannot orchestrate a wave.
     pub fn start_reconfiguration(&mut self, plan: ReconfigPlan) -> Result<(), ReconfigInProgress> {
         self.start_reconfiguration_with(plan, WaveConfig::default())
     }
@@ -274,30 +267,24 @@ impl Simulation {
     /// Enqueues the ③ `SEND_RECONF` messages of `plan` for delivery at
     /// the next window.
     fn enqueue_wave(&mut self, plan: &ReconfigPlan) {
-        let n = self.pois.len();
-        let mut routers: Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> = vec![Vec::new(); n];
-        for (poi, edge, router) in &plan.routers {
-            routers[poi.index()].push((*edge, Arc::clone(router)));
-        }
-        let mut send: Vec<Vec<(Key, PoiId)>> = vec![Vec::new(); n];
-        let mut receive: Vec<Vec<Key>> = vec![Vec::new(); n];
-        for &(from, key, to) in &plan.migrations {
-            send[from.index()].push((key, to));
-            receive[to.index()].push(key);
-        }
+        let staged = split_plan(
+            self.pois.len(),
+            plan.routers
+                .iter()
+                .map(|(poi, edge, router)| (poi.index(), *edge, Arc::clone(router))),
+            plan.migrations
+                .iter()
+                .map(|&(from, key, to)| (from.index(), key, to.index())),
+        );
         let due = self.window_index; // delivered at the next step (1 hop)
-        for idx in (0..n).rev() {
-            let staged = StagedReconf {
-                routers: std::mem::take(&mut routers[idx]),
-                send: std::mem::take(&mut send[idx]),
-                receive: std::mem::take(&mut receive[idx]),
-            };
-            self.control_queue.push((due, idx, ControlMsg::Reconf(staged)));
+        for (idx, staged) in staged.into_iter().enumerate().rev() {
+            self.control_queue.push((due, idx, WaveMsg::Reconf(staged)));
         }
     }
 
-    /// Every POI's current fields routers (rollback snapshot).
-    fn snapshot_routers(&self) -> Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> {
+    /// Every POI's current fields routers (rollback and checkpoint
+    /// snapshot).
+    pub(crate) fn snapshot_routers(&self) -> Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>> {
         self.pois
             .iter()
             .map(|p| {
@@ -322,7 +309,7 @@ impl Simulation {
     /// flight).
     #[must_use]
     pub fn pending_migrations(&self) -> usize {
-        self.pois.iter().map(|p| p.pending.len()).sum()
+        self.pois.iter().map(|p| p.wave.buffered_keys()).sum()
     }
 
     /// Processes every control message due at the current window.
@@ -333,7 +320,7 @@ impl Simulation {
         }
         // Stable processing order: (due, poi), preserving insertion
         // order for equal keys.
-        let mut due: Vec<(u64, usize, ControlMsg)> = Vec::new();
+        let mut due: Vec<(u64, usize, WaveMsg)> = Vec::new();
         let mut remaining = Vec::with_capacity(self.control_queue.len());
         for msg in self.control_queue.drain(..) {
             if msg.0 <= now {
@@ -346,8 +333,8 @@ impl Simulation {
         due.sort_by_key(|&(when, poi, _)| (when, poi));
         for (_, poi, msg) in due {
             let class = match &msg {
-                ControlMsg::Reconf(_) => ControlClass::SendReconf,
-                ControlMsg::Propagate => ControlClass::Propagate,
+                WaveMsg::Reconf(_) => ControlClass::SendReconf,
+                WaveMsg::Propagate | WaveMsg::ForceApply => ControlClass::Propagate,
             };
             // Fault injection: the injector may drop or delay any
             // control message on the wire.
@@ -373,13 +360,14 @@ impl Simulation {
                 }
             }
             match msg {
-                ControlMsg::Reconf(staged) => {
+                WaveMsg::Reconf(staged) => {
                     self.trace(self.active_wave(), TraceEventKind::SendReconf { poi });
                     self.handle_reconf(poi, staged, now);
                 }
-                ControlMsg::Propagate => {
+                step => {
                     self.trace(self.active_wave(), TraceEventKind::Propagate { poi });
-                    self.handle_propagate(poi, now, wm);
+                    let force = matches!(step, WaveMsg::ForceApply);
+                    self.handle_propagate(poi, force, now, wm);
                 }
             }
         }
@@ -392,22 +380,7 @@ impl Simulation {
         if self.reconfig.is_none() {
             return; // stale message from an aborted wave
         }
-        {
-            let poi = &mut self.pois[idx];
-            // Stragglers from the previous reconfiguration are assumed
-            // drained by the time the next wave starts.
-            poi.departed.clear();
-            for &key in &staged.receive {
-                poi.pending.entry(key).or_default();
-            }
-            let pred: usize = self.topo.in_edges[poi.po.index()]
-                .iter()
-                .map(|&e| self.topo.pos[self.topo.edges[e.index()].from.index()].parallelism)
-                .sum();
-            // Root operators receive the manager's single propagate.
-            poi.awaiting_propagates = pred.max(1);
-            poi.staged = Some(staged);
-        }
+        self.pois[idx].wave.stage(staged);
         let manager_down = self.manager_down;
         let exec = self.reconfig.as_mut().expect("checked above");
         exec.acks_pending = exec.acks_pending.saturating_sub(1);
@@ -432,28 +405,18 @@ impl Simulation {
                 })
                 .collect();
             for poi in roots {
-                self.control_queue.push((now + 1, poi, ControlMsg::Propagate));
+                self.control_queue.push((now + 1, poi, WaveMsg::Propagate));
             }
         }
     }
 
-    /// ⑤/⑥: count propagates; on the last one, apply the staged
-    /// configuration, migrate state, forward the wave. Duplicate or
-    /// stale propagates (possible after crashes, delays and wave
-    /// restarts) are ignored instead of corrupting the count.
-    fn handle_propagate(&mut self, idx: usize, now: u64, wm: &mut WindowMetrics) {
-        {
-            let poi = &mut self.pois[idx];
-            if poi.awaiting_propagates == 0 {
-                return; // duplicate or stale propagate
-            }
-            poi.awaiting_propagates -= 1;
-            if poi.awaiting_propagates > 0 {
-                return;
-            }
-        }
-        let Some(staged) = self.pois[idx].staged.take() else {
-            return; // staged config lost (e.g. the instance crashed)
+    /// ⑤/⑥: count propagates (or `force` the apply); on the last one,
+    /// apply the staged configuration, migrate state, forward the
+    /// wave. Duplicate or stale propagates (possible after crashes,
+    /// delays and wave restarts) are ignored.
+    fn handle_propagate(&mut self, idx: usize, force: bool, now: u64, wm: &mut WindowMetrics) {
+        let Some(staged) = self.pois[idx].wave.propagate(force) else {
+            return;
         };
         self.trace(self.active_wave(), TraceEventKind::WaveApplied { poi: idx });
 
@@ -465,8 +428,7 @@ impl Simulation {
         // ⑥: ship the state of reassigned keys to their new owners.
         for (key, dest) in staged.send {
             let state = self.pois[idx].state.remove(&key);
-            self.pois[idx].departed.insert(key, dest);
-            self.send_migration(idx, dest.index(), key, state, wm);
+            self.send_migration_attempt(idx, dest, key, state, 0, wm);
         }
 
         // Forward the wave to every instance of every successor.
@@ -479,7 +441,7 @@ impl Simulation {
             })
             .collect();
         for poi in successors {
-            self.control_queue.push((now + 1, poi, ControlMsg::Propagate));
+            self.control_queue.push((now + 1, poi, WaveMsg::Propagate));
         }
 
         let Some(exec) = self.reconfig.as_mut() else {
@@ -500,21 +462,9 @@ impl Simulation {
         }
     }
 
-    /// Transfers one key's state to `to_poi`, in memory when
-    /// co-located, over the NIC otherwise.
-    fn send_migration(
-        &mut self,
-        from_idx: usize,
-        to_idx: usize,
-        key: Key,
-        state: Option<StateValue>,
-        wm: &mut WindowMetrics,
-    ) {
-        self.send_migration_attempt(from_idx, to_idx, key, state, 0, wm);
-    }
-
-    /// One transmission attempt of a ⑥ `MIGRATE`. The injector may
-    /// drop it (queued for retransmission) or delay it; after
+    /// One transmission attempt of a ⑥ `MIGRATE`, in memory when
+    /// co-located, over the NIC otherwise. The injector may drop it
+    /// (queued for retransmission) or delay it; after
     /// [`MAX_MIGRATE_RETRANSMITS`] drops the state is recovered out of
     /// band and [`ReconfigError::MigrationLost`] is surfaced.
     pub(crate) fn send_migration_attempt(
@@ -685,14 +635,10 @@ impl Simulation {
             self.reconfig = Some(ReconfigExec {
                 acks_pending: self.pois.len(),
                 applies_pending: self.pois.len(),
-                plan: exec.plan,
-                wave: exec.wave,
                 attempt,
                 deadline: now + horizon.max(2),
-                wave_id: exec.wave_id,
-                started_at: exec.started_at,
                 nacked: false,
-                pre_wave_routers: exec.pre_wave_routers,
+                ..exec
             });
         } else {
             wm.reconfig_errors.push(ReconfigError::Aborted);
@@ -705,6 +651,11 @@ impl Simulation {
     /// owners, buffered tuples are released back to the input queues,
     /// and all wave control messages are purged.
     fn rollback_wave(&mut self, exec: &ReconfigExec) {
+        // This wave's migrations, reversed: (new owner, key) → old owner.
+        let mut old_owner: HashMap<(usize, Key), usize> = HashMap::new();
+        for &(from, key, to) in &exec.plan.migrations {
+            old_owner.entry((to.index(), key)).or_insert(from.index());
+        }
         // 1. Restore the pre-wave routing tables everywhere.
         for (idx, routers) in exec.pre_wave_routers.iter().enumerate() {
             for (edge, router) in routers {
@@ -735,15 +686,10 @@ impl Simulation {
         // (e.g. a straggler of an earlier wave) is delivered directly
         // so no state is ever dropped.
         for (to_poi, key, state) in in_transit {
-            match exec
-                .plan
-                .migrations
-                .iter()
-                .find(|&&(_, k, to)| k == key && to.index() == to_poi)
-            {
-                Some(&(from, _, _)) => {
+            match old_owner.get(&(to_poi, key)) {
+                Some(&from) => {
                     if let Some(state) = state {
-                        self.pois[from.index()].state.insert(key, state);
+                        self.pois[from].state.insert(key, state);
                     }
                 }
                 None => self.apply_migration(to_poi, key, state),
@@ -761,20 +707,8 @@ impl Simulation {
         // old one, so a reversed straggler-forwarding entry sends them
         // after it — the same §3.4 mechanism the forward path uses.
         for (idx, poi) in self.pois.iter_mut().enumerate() {
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
-            poi.departed.clear();
-            let mut buffered: Vec<_> = std::mem::take(&mut poi.pending).into_iter().collect();
-            buffered.sort_by_key(|&(key, _)| key);
-            for (key, buf) in buffered.into_iter().rev() {
-                if let Some(&(from, _, _)) = exec
-                    .plan
-                    .migrations
-                    .iter()
-                    .find(|&&(_, k, to)| k == key && to.index() == idx)
-                {
-                    poi.departed.insert(key, from);
-                }
+            let reverted = poi.wave.roll_back(|key| old_owner.get(&(idx, key)).copied());
+            for (_, buf) in reverted.into_iter().rev() {
                 for t in buf.into_iter().rev() {
                     poi.input.push_front(t);
                 }
@@ -828,16 +762,15 @@ impl Simulation {
                 self.pois[to].state.insert(key, state);
                 wm.migrated_states += 1;
             }
-            // Release any tuples buffered for the key at either end.
+            // Release any tuples buffered for the key at either end,
+            // and stop forwarding it.
             for idx in [from, to] {
-                if let Some(buf) = self.pois[idx].pending.remove(&key) {
+                if let Some(buf) = self.pois[idx].wave.settle(key) {
                     for t in buf.into_iter().rev() {
                         self.pois[idx].input.push_front(t);
                     }
                 }
             }
-            self.pois[from].departed.remove(&key);
-            self.pois[to].departed.remove(&key);
         }
     }
 
@@ -856,7 +789,7 @@ impl Simulation {
         if let Some(state) = state {
             poi.state.insert(key, state);
         }
-        if let Some(buffered) = poi.pending.remove(&key) {
+        if let Some(buffered) = poi.wave.release(key) {
             for t in buffered.into_iter().rev() {
                 poi.input.push_front(t);
             }

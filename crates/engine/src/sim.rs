@@ -22,12 +22,13 @@ use crate::obs::{
     SpanSampler, TraceEvent, TraceEventKind,
 };
 use crate::operator::{OpContext, Operator, StateValue};
-use crate::reconfig::{ControlMsg, ReconfigExec, StagedReconf};
+use crate::reconfig::ReconfigExec;
 use crate::router::KeyRouter;
 use crate::topology::{
     EdgeId, Grouping, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource,
 };
 use crate::tuple::Tuple;
+use crate::wave::{Admit, WaveInstance, WaveMsg};
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -71,8 +72,8 @@ pub struct SimConfig {
     pub window: f64,
     /// Source admission cap: sources pause while more than this many
     /// tuples are in flight (queued, buffered or on the wire). This
-    /// bounds queue growth at saturation, like Storm's max spout
-    /// pending.
+    /// bounds queue growth at saturation, like Storm's cap on unacked
+    /// spout tuples.
     pub max_in_flight: usize,
     /// Hard cap on tuples emitted per source instance per window.
     pub source_burst_per_window: usize,
@@ -208,11 +209,8 @@ pub(crate) struct PoiRt {
     /// entries; an edge can carry several (a stateless fan-out behind
     /// it may lead to several stateful successors).
     pub(crate) observers: ObserverSlots,
-    // --- reconfiguration runtime (see reconfig.rs) ---
-    pub(crate) staged: Option<StagedReconf>,
-    pub(crate) awaiting_propagates: usize,
-    pub(crate) pending: HashMap<Key, VecDeque<InTuple>>,
-    pub(crate) departed: HashMap<Key, PoiId>,
+    /// This instance's side of the reconfiguration wave (see wave.rs).
+    pub(crate) wave: WaveInstance<InTuple>,
 }
 
 pub(crate) enum NetPayload {
@@ -304,7 +302,7 @@ pub struct Simulation {
     /// the next budget refill (statistics uploads to the manager).
     pub(crate) mgmt_debt: Vec<f64>,
     pub(crate) metrics: MetricsLog,
-    pub(crate) control_queue: Vec<(u64, usize, ControlMsg)>,
+    pub(crate) control_queue: Vec<(u64, usize, WaveMsg)>,
     pub(crate) reconfig: Option<ReconfigExec>,
     // --- failure injection & recovery (see fault.rs) ---
     pub(crate) fault: Option<FaultInjector>,
@@ -454,6 +452,10 @@ impl Simulation {
         let mut pois = Vec::with_capacity(next);
         for (po_idx, po) in topology.pos.iter().enumerate() {
             let po_id = PoId(po_idx);
+            let preds: usize = topology.in_edges[po_idx]
+                .iter()
+                .map(|&e| topology.pos[topology.edges[e.index()].from.index()].parallelism)
+                .sum();
             for instance in 0..po.parallelism {
                 let server = placement.server(po_id, instance);
                 assert!(server.0 < cluster.servers, "placement server out of range");
@@ -510,10 +512,7 @@ impl Simulation {
                     state: HashMap::new(),
                     out,
                     observers: HashMap::new(),
-                    staged: None,
-                    awaiting_propagates: 0,
-                    pending: HashMap::new(),
-                    departed: HashMap::new(),
+                    wave: WaveInstance::new(preds),
                 });
             }
         }
@@ -920,27 +919,15 @@ impl Simulation {
         if let Some(exec) = self.reconfig.as_mut() {
             exec.nacked = true;
         }
-        let mut dropped = self.pois[idx].input.len() as i64;
-        dropped += self.pois[idx]
-            .pending
-            .values()
-            .map(|b| b.len() as i64)
-            .sum::<i64>();
-        {
-            let poi = &mut self.pois[idx];
-            poi.input.clear();
-            poi.pending.clear();
-            poi.departed.clear();
-            poi.staged = None;
-            poi.awaiting_propagates = 0;
-            poi.state.clear();
-            // A restarted generator would replay its stream from the
-            // beginning; keep it down instead.
-            if let PoiKindRt::Source { exhausted, .. } = &mut poi.kind {
-                *exhausted = true;
-            }
+        let poi = &mut self.pois[idx];
+        self.in_flight -= (poi.input.len() + poi.wave.reset()) as i64;
+        poi.input.clear();
+        poi.state.clear();
+        // A restarted generator would replay its stream from the
+        // beginning; keep it down instead.
+        if let PoiKindRt::Source { exhausted, .. } = &mut poi.kind {
+            *exhausted = true;
         }
-        self.in_flight -= dropped;
         debug_assert!(self.in_flight >= 0, "in-flight accounting underflow");
 
         // Respawn from the last checkpoint. Keys that have since
@@ -1022,7 +1009,7 @@ impl Simulation {
             && self.lost_migrations.is_empty()
             && self.pois.iter().all(|p| match &p.kind {
                 PoiKindRt::Source { exhausted, .. } => *exhausted,
-                _ => p.input.is_empty() && p.pending.is_empty(),
+                _ => p.input.is_empty() && p.wave.buffered_keys() == 0,
             })
     }
 
@@ -1248,7 +1235,7 @@ impl Simulation {
             let Some(in_tuple) = self.pois[idx].input.pop_front() else {
                 break;
             };
-            // Identify the state key for pending/departed handling.
+            // Identify the state key for the wave's admission rule.
             let state_key = match &self.pois[idx].kind {
                 PoiKindRt::Operator {
                     state_field: Some(f),
@@ -1257,49 +1244,44 @@ impl Simulation {
                 _ => None,
             };
             if let Some(key) = state_key {
-                // Awaiting migrated state: buffer (paper §3.4). The
-                // empty → non-empty transition is traced as one stall
-                // per key (not per tuple).
-                let stalled = match self.pois[idx].pending.get_mut(&key) {
-                    Some(buf) => {
-                        let first = buf.is_empty();
-                        buf.push_back(in_tuple);
-                        Some(first)
+                match self.pois[idx].wave.admit(key, std::slice::from_ref(&in_tuple)) {
+                    Admit::Process => {}
+                    // Awaiting migrated state: buffered (paper §3.4).
+                    // The empty → non-empty transition is traced as
+                    // one stall per key (not per tuple).
+                    Admit::Buffer { first } => {
+                        wm.buffered += 1;
+                        if first {
+                            self.trace(
+                                self.wave_hint(),
+                                TraceEventKind::BufferStall {
+                                    poi: idx,
+                                    key: key.value(),
+                                },
+                            );
+                        }
+                        continue;
                     }
-                    None => None,
-                };
-                if let Some(first) = stalled {
-                    wm.buffered += 1;
-                    if first {
-                        self.trace(
-                            self.wave_hint(),
-                            TraceEventKind::BufferStall {
-                                poi: idx,
-                                key: key.value(),
-                            },
+                    // State left for a new owner: forward the straggler.
+                    Admit::Forward(new_owner) => {
+                        wm.late_forwarded += 1;
+                        let from_server = self.pois[idx].server;
+                        // Charged like any remote handoff.
+                        budget -= self.cluster.remote_send_cpu;
+                        let edge = self.topo.in_edges[self.pois[idx].po.index()]
+                            .first()
+                            .copied()
+                            .expect("stateful operator has an input edge");
+                        self.deliver_data(
+                            from_server,
+                            new_owner,
+                            in_tuple.tuple,
+                            edge,
+                            in_tuple.born,
+                            wm,
                         );
+                        continue;
                     }
-                    continue;
-                }
-                // State departed to a new owner: forward the straggler.
-                if let Some(&new_owner) = self.pois[idx].departed.get(&key) {
-                    wm.late_forwarded += 1;
-                    let from_server = self.pois[idx].server;
-                    // Charged like any remote handoff.
-                    budget -= self.cluster.remote_send_cpu;
-                    let edge = self.topo.in_edges[self.pois[idx].po.index()]
-                        .first()
-                        .copied()
-                        .expect("stateful operator has an input edge");
-                    self.deliver_data(
-                        from_server,
-                        new_owner.index(),
-                        in_tuple.tuple,
-                        edge,
-                        in_tuple.born,
-                        wm,
-                    );
-                    continue;
                 }
             }
 
