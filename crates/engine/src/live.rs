@@ -11,7 +11,9 @@
 //! algorithm, here exercised against genuine concurrency instead of
 //! deterministic windows: every instance, source or operator, applies
 //! the per-instance rules of `wave.rs` and only adds the channel I/O
-//! ([`WorkerCtx::on_wave`]). "Servers" are placement tags: transfers
+//! ([`WorkerCtx::on_wave`]), and the wave driver
+//! ([`LiveRuntime::reconfigure_with_deadline`]) does the same around
+//! the coordinator of `wave.rs`. "Servers" are placement tags: transfers
 //! between instances with different tags are counted as remote, so
 //! locality statistics remain meaningful even though everything runs
 //! in one process.
@@ -42,7 +44,16 @@ use crate::router::{push_dest_run, DestRun, HashRouter, KeyRouter};
 use crate::sim::{PairObserver, Placement};
 use crate::topology::{EdgeId, Grouping, PoId, PoKind, SourceRate, Topology, TupleSource};
 use crate::tuple::{tuple_run_len, Tuple};
-use crate::wave::{split_plan, Admit, WaveInstance, WaveMsg};
+use crate::wave::{split_plan, Addressing, Admit, Heard, WaveCoordinator, WaveInstance, WaveMsg};
+
+/// Milliseconds per window of [`WaveConfig`] deadlines and injected
+/// [`ControlFate::Delay`]s in the live runtime.
+const WINDOW_MS: u64 = 100;
+
+/// `n` windows of wall-clock time.
+fn windows(n: u64) -> Duration {
+    Duration::from_millis(n.saturating_mul(WINDOW_MS))
+}
 
 /// Keys and their moved state carried by one ⑥ `Migrate` message.
 type MigratedKeys = Vec<(Key, Option<StateValue>)>;
@@ -77,27 +88,10 @@ enum Msg {
     },
 }
 
-/// Worker → coordinator notifications, tagged with the worker's global
-/// instance index so retries and duplicates never double count.
-enum CoordMsg {
-    /// ④ An instance staged its new configuration.
-    Ack(usize),
-    /// An instance applied its configuration and forwarded the wave.
-    Applied(usize),
-    /// An instance shut down (its `Eos` tokens are out).
-    Exited(usize),
-}
-
-/// The furthest the coordinator has heard one instance get in the
-/// running wave; it only moves forward. An exited instance counts as
-/// done — its `Eos` tokens are out and it holds no state to move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Heard {
-    Nothing,
-    Acked,
-    Applied,
-    Exited,
-}
+/// Worker → coordinator notifications: how far an instance, named by
+/// its global index, got. ④ `Acked` after staging, `Applied` after
+/// forwarding the wave, `Exited` once its `Eos` tokens are out.
+type CoordMsg = (usize, Heard);
 
 /// Per-edge transfer counters shared with the caller.
 #[derive(Debug, Default)]
@@ -204,60 +198,55 @@ struct LiveHot {
     batch_control_flushes: Counter,
     batch_drops: Counter,
     batch_dropped_tuples: Counter,
+    late_forwarded: Counter,
 }
 
 impl LiveHot {
     fn new(registry: Option<&MetricsRegistry>) -> Self {
-        match registry {
-            Some(reg) => Self {
-                tuples_routed: reg.counter(
-                    "live_tuples_routed_total",
-                    "tuples sent on all edges by the live runtime",
-                ),
-                tuples_remote: reg.counter(
-                    "live_tuples_remote_total",
-                    "live tuples that crossed a server boundary",
-                ),
-                migrations_sent: reg.counter(
-                    "live_migrations_total",
-                    "key states shipped by live reconfiguration waves",
-                ),
-                migration_bytes: reg.counter(
-                    "live_migration_bytes_total",
-                    "bytes of key state shipped by live waves",
-                ),
-                batch_sends: reg.counter(
-                    "live_batch_sends_total",
-                    "coalesced Batch messages sent on the live data plane",
-                ),
-                batch_tuples: reg.counter(
-                    "live_batch_tuples_total",
-                    "tuples carried inside live Batch messages",
-                ),
-                batch_control_flushes: reg.counter(
-                    "live_batch_control_flushes_total",
-                    "send-buffer flushes forced by control-plane boundaries",
-                ),
-                batch_drops: reg.counter(
-                    "live_batch_drops_total",
-                    "Batch messages lost mid-flight to fault injection",
-                ),
-                batch_dropped_tuples: reg.counter(
-                    "live_batch_dropped_tuples_total",
-                    "tuples lost inside fault-dropped Batch messages",
-                ),
-            },
-            None => Self {
-                tuples_routed: Counter::detached(),
-                tuples_remote: Counter::detached(),
-                migrations_sent: Counter::detached(),
-                migration_bytes: Counter::detached(),
-                batch_sends: Counter::detached(),
-                batch_tuples: Counter::detached(),
-                batch_control_flushes: Counter::detached(),
-                batch_drops: Counter::detached(),
-                batch_dropped_tuples: Counter::detached(),
-            },
+        let counter = |name: &str, help: &str| {
+            registry.map_or_else(Counter::detached, |reg| reg.counter(name, help))
+        };
+        Self {
+            tuples_routed: counter(
+                "live_tuples_routed_total",
+                "tuples sent on all edges by the live runtime",
+            ),
+            tuples_remote: counter(
+                "live_tuples_remote_total",
+                "live tuples that crossed a server boundary",
+            ),
+            migrations_sent: counter(
+                "live_migrations_total",
+                "key states shipped by live reconfiguration waves",
+            ),
+            migration_bytes: counter(
+                "live_migration_bytes_total",
+                "bytes of key state shipped by live waves",
+            ),
+            batch_sends: counter(
+                "live_batch_sends_total",
+                "coalesced Batch messages sent on the live data plane",
+            ),
+            batch_tuples: counter(
+                "live_batch_tuples_total",
+                "tuples carried inside live Batch messages",
+            ),
+            batch_control_flushes: counter(
+                "live_batch_control_flushes_total",
+                "send-buffer flushes forced by control-plane boundaries",
+            ),
+            batch_drops: counter(
+                "live_batch_drops_total",
+                "Batch messages lost mid-flight to fault injection",
+            ),
+            batch_dropped_tuples: counter(
+                "live_batch_dropped_tuples_total",
+                "tuples lost inside fault-dropped Batch messages",
+            ),
+            late_forwarded: counter(
+                "live_late_forwarded_total",
+                "stragglers forwarded from old to new key owners",
+            ),
         }
     }
 }
@@ -280,8 +269,7 @@ struct WorkerShared {
     stop: AtomicBool,
     coord: Sender<CoordMsg>,
     outs: Vec<Vec<OutInfo>>,
-    parallelism: Vec<usize>,
-    poi_base: Vec<usize>,
+    addr: Addressing,
     /// Fault injector consulted for every control message: ③/⑤ by the
     /// wave driver, ⑥ by the sending worker.
     fault: Mutex<Option<FaultInjector>>,
@@ -315,6 +303,13 @@ struct WorkerShared {
     epoch: AtomicU64,
 }
 
+impl WorkerShared {
+    /// What the injector (if armed) decides about one control message.
+    fn control_fate(&self, class: ControlClass) -> ControlFate {
+        (self.fault.lock().as_mut()).map_or(ControlFate::Deliver, |inj| inj.on_control(class))
+    }
+}
+
 /// Nanoseconds since the runtime clock's epoch.
 fn span_now_ns(clock: &Instant) -> u64 {
     clock.elapsed().as_nanos() as u64
@@ -345,10 +340,6 @@ fn send_batch(shared: &WorkerShared, dest_idx: usize, batch: Vec<Tuple>) {
 struct WorkerCtx {
     po_idx: usize,
     my_idx: usize,
-    /// Every instance of every successor operator (for ⑤ and `Eos`).
-    successors: Vec<usize>,
-    /// Predecessor instances, each of which sends one `Eos`.
-    preds: usize,
     /// The wave rules (Algorithm 1) for this instance.
     wave: WaveInstance<Tuple>,
     rr: usize,
@@ -372,36 +363,23 @@ struct WorkerCtx {
 
 impl WorkerCtx {
     fn new(po_idx: usize, instance: usize, shared: &WorkerShared) -> Self {
-        let my_idx = shared.poi_base[po_idx] + instance;
+        let my_idx = shared.addr.instances(po_idx).start + instance;
         let locals = shared.outs[po_idx]
             .iter()
             .map(|out| {
-                let base = shared.poi_base[out.dest_po];
-                (0..shared.parallelism[out.dest_po])
+                let dests = shared.addr.instances(out.dest_po);
+                (0..dests.len())
                     .filter(|&i| {
-                        out.local_or_shuffle && shared.server[base + i] == shared.server[my_idx]
+                        out.local_or_shuffle
+                            && shared.server[dests.start + i] == shared.server[my_idx]
                     })
                     .collect()
             })
             .collect();
-        let successors = shared.outs[po_idx]
-            .iter()
-            .flat_map(|out| {
-                let base = shared.poi_base[out.dest_po];
-                (0..shared.parallelism[out.dest_po]).map(move |i| base + i)
-            })
-            .collect();
-        let preds = (shared.outs.iter().enumerate())
-            .map(|(po, outs)| {
-                outs.iter().filter(|out| out.dest_po == po_idx).count() * shared.parallelism[po]
-            })
-            .sum();
         Self {
             po_idx,
             my_idx,
-            successors,
-            preds,
-            wave: WaveInstance::new(preds),
+            wave: WaveInstance::new(shared.addr.preds[po_idx]),
             rr: instance,
             overrides: HashMap::new(),
             locals,
@@ -471,7 +449,7 @@ impl WorkerCtx {
             WaveMsg::Reconf(staged) => {
                 self.flush_outputs(shared, true);
                 self.wave.stage(staged);
-                let _ = shared.coord.send(CoordMsg::Ack(self.my_idx));
+                let _ = shared.coord.send((self.my_idx, Heard::Acked));
                 return;
             }
             WaveMsg::Propagate => self.wave.propagate(false),
@@ -493,13 +471,7 @@ impl WorkerCtx {
         let mut bundles: Vec<(usize, MigratedKeys)> = Vec::new();
         for (key, dest) in staged.send {
             let moved = state.remove(&key);
-            let fate = shared
-                .fault
-                .lock()
-                .as_mut()
-                .map_or(ControlFate::Deliver, |inj| {
-                    inj.on_control(ControlClass::Migrate)
-                });
+            let fate = shared.control_fate(ControlClass::Migrate);
             // A dropped ⑥ loses the moved state (at-most-once); the new
             // owner adopts the key with fresh state when it drains.
             if matches!(fate, ControlFate::Drop) {
@@ -518,10 +490,10 @@ impl WorkerCtx {
         for (dest, keys) in bundles {
             let _ = shared.inboxes[dest].send(Msg::Migrate(keys));
         }
-        for &succ in &self.successors {
+        for &succ in &shared.addr.successors[self.po_idx] {
             let _ = shared.inboxes[succ].send(Msg::Wave(WaveMsg::Propagate));
         }
-        let _ = shared.coord.send(CoordMsg::Applied(self.my_idx));
+        let _ = shared.coord.send((self.my_idx, Heard::Applied));
     }
 
     /// Shuts the instance down and reports. The final partial batches
@@ -534,13 +506,13 @@ impl WorkerCtx {
         processed: u64,
     ) -> InstanceReport {
         self.flush_outputs(shared, true);
-        for &succ in &self.successors {
+        for &succ in &shared.addr.successors[self.po_idx] {
             let _ = shared.inboxes[succ].send(Msg::Eos);
         }
-        let _ = shared.coord.send(CoordMsg::Exited(self.my_idx));
+        let _ = shared.coord.send((self.my_idx, Heard::Exited));
         InstanceReport {
             po: PoId(self.po_idx),
-            instance: self.my_idx - shared.poi_base[self.po_idx],
+            instance: self.my_idx - shared.addr.instances(self.po_idx).start,
             state,
             processed,
         }
@@ -574,7 +546,8 @@ impl WorkerCtx {
         let mut rr_edge = 0;
         let mut runs = std::mem::take(&mut self.run_buf);
         for (out, locals) in outs.iter().zip(&self.locals) {
-            let dest_parallelism = shared.parallelism[out.dest_po];
+            let dests = shared.addr.instances(out.dest_po);
+            let dest_parallelism = dests.len();
             runs.clear();
             match out.field {
                 Some(field) => {
@@ -599,12 +572,11 @@ impl WorkerCtx {
                 }
             }
 
-            let base = shared.poi_base[out.dest_po];
             let (mut local, mut remote) = (0u64, 0u64);
             let mut offset = 0usize;
             for run in &runs {
                 let len = run.len as usize;
-                let dest_idx = base + run.dest as usize;
+                let dest_idx = dests.start + run.dest as usize;
                 let remote_hop = shared.server[dest_idx] != my_server;
                 if remote_hop {
                     remote += u64::from(run.len);
@@ -707,8 +679,6 @@ pub struct LiveRuntime {
     shared: Arc<WorkerShared>,
     handles: Vec<JoinHandle<InstanceReport>>,
     coord_rx: Receiver<CoordMsg>,
-    roots: Vec<usize>,
-    n_instances: usize,
     last_checkpoint: Option<ClusterCheckpoint>,
     checkpoint_seq: u64,
 }
@@ -716,7 +686,7 @@ pub struct LiveRuntime {
 impl std::fmt::Debug for LiveRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveRuntime")
-            .field("instances", &self.n_instances)
+            .field("instances", &self.instances())
             .finish_non_exhaustive()
     }
 }
@@ -762,27 +732,15 @@ impl LiveRuntime {
     ) -> Self {
         assert!(servers > 0, "at least one server tag");
         let n_pos = topology.operator_count();
-        let mut poi_base = Vec::with_capacity(n_pos);
-        let mut parallelism = Vec::with_capacity(n_pos);
-        let mut next = 0usize;
-        for po_idx in 0..n_pos {
-            poi_base.push(next);
-            let p = topology.po(PoId(po_idx)).parallelism();
-            parallelism.push(p);
-            next += p;
-        }
-        let n_instances = next;
+        let addr = Addressing::new(&topology);
+        let n_instances = addr.total();
 
-        let mut inboxes = Vec::with_capacity(n_instances);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(n_instances);
-        for _ in 0..n_instances {
-            let (tx, rx) = bounded::<Msg>(config.channel_capacity);
-            inboxes.push(tx);
-            receivers.push(Some(rx));
-        }
+        let (inboxes, receivers): (Vec<_>, Vec<Receiver<Msg>>) = (0..n_instances)
+            .map(|_| bounded(config.channel_capacity))
+            .unzip();
         let mut server = Vec::with_capacity(n_instances);
-        for (po_idx, &p) in parallelism.iter().enumerate() {
-            for i in 0..p {
+        for po_idx in 0..n_pos {
+            for i in 0..addr.instances(po_idx).len() {
                 let tag = placement.server(PoId(po_idx), i).0;
                 assert!(tag < servers, "placement server out of range");
                 server.push(tag);
@@ -824,14 +782,6 @@ impl LiveRuntime {
         let state_fields: Vec<Option<usize>> = (0..n_pos)
             .map(|po_idx| topology.state_field(PoId(po_idx)))
             .collect();
-        let roots: Vec<usize> = (0..n_pos)
-            .filter(|&po| topology.in_edges(PoId(po)).is_empty())
-            .flat_map(|po| {
-                let base = poi_base[po];
-                (0..parallelism[po]).map(move |i| base + i)
-            })
-            .collect();
-
         let shared = Arc::new(WorkerShared {
             inboxes,
             server,
@@ -841,8 +791,7 @@ impl LiveRuntime {
             stop: AtomicBool::new(false),
             coord: coord_tx,
             outs,
-            parallelism: parallelism.clone(),
-            poi_base: poi_base.clone(),
+            addr,
             fault: Mutex::new(None),
             batch_faults: AtomicBool::new(false),
             parked: (0..n_instances).map(|_| AtomicBool::new(false)).collect(),
@@ -865,12 +814,13 @@ impl LiveRuntime {
 
         let Topology { pos, .. } = topology;
         let mut handles = Vec::with_capacity(n_instances);
+        // Receivers are in global index order, as the loop visits them.
+        let mut receivers = receivers.into_iter();
         for (po_idx, po) in pos.into_iter().enumerate() {
-            let base = poi_base[po_idx];
             for instance in 0..po.parallelism {
                 let ctx = WorkerCtx::new(po_idx, instance, &shared);
                 let shared = Arc::clone(&shared);
-                let rx = receivers[base + instance].take().expect("unique receiver");
+                let rx = receivers.next().expect("one receiver per instance");
                 match &po.kind {
                     PoKind::Source { factory, rate } => {
                         let gen = factory(instance);
@@ -896,8 +846,6 @@ impl LiveRuntime {
             shared,
             handles,
             coord_rx,
-            roots,
-            n_instances,
             last_checkpoint: None,
             checkpoint_seq: 0,
         }
@@ -906,7 +854,7 @@ impl LiveRuntime {
     /// Number of instance threads.
     #[must_use]
     pub fn instances(&self) -> usize {
-        self.n_instances
+        self.shared.addr.total()
     }
 
     /// Locality of `edge` so far: local transfers / all transfers
@@ -930,7 +878,11 @@ impl LiveRuntime {
     /// Snapshot of one instance's keyed state (blocks briefly).
     #[must_use]
     pub fn probe_state(&self, po: PoId, instance: usize) -> Option<HashMap<Key, StateValue>> {
-        let idx = self.shared.poi_base[po.index()] + instance;
+        self.probe(self.shared.addr.instances(po.index()).start + instance)
+    }
+
+    /// Snapshot of instance `idx`'s keyed state (blocks briefly).
+    fn probe(&self, idx: usize) -> Option<HashMap<Key, StateValue>> {
         let (tx, rx) = bounded(1);
         if self.shared.inboxes[idx].send(Msg::StateProbe(tx)).is_err() {
             return None;
@@ -959,69 +911,79 @@ impl LiveRuntime {
         }
     }
 
-    /// What the injector (if armed) decides about one control message.
-    fn control_fate(&self, class: ControlClass) -> ControlFate {
-        self.shared
-            .fault
-            .lock()
-            .as_mut()
-            .map_or(ControlFate::Deliver, |inj| inj.on_control(class))
+    /// Sends one ③ or ⑤ through the injector (if armed): a dropped
+    /// message is recovered by the next attempt, a delayed one waits in
+    /// `timers` for its configured number of windows. A failed send
+    /// marks the instance as exited, so the wave never waits on it.
+    fn send_control(
+        &self,
+        coord: &mut WaveCoordinator,
+        timers: &mut Vec<(Instant, usize, Msg)>,
+        class: ControlClass,
+        idx: usize,
+        msg: Msg,
+    ) {
+        match self.shared.control_fate(class) {
+            ControlFate::Deliver => {
+                if self.shared.inboxes[idx].send(msg).is_err() {
+                    coord.hear(idx, Heard::Exited);
+                }
+            }
+            ControlFate::Drop => {}
+            ControlFate::Delay(d) => timers.push((Instant::now() + windows(d.max(1)), idx, msg)),
+        }
     }
 
     /// Runs the reconfiguration wave under a deadline with bounded
-    /// retries, the live runtime's failure-recovery protocol:
+    /// retries. The wave coordinator of `wave.rs`, shared with the
+    /// simulator, decides every step; this method does the channel I/O
+    /// and keeps time, one window being 100 ms:
     ///
-    /// * ③ `SEND_RECONF` messages that get lost (fault injection, dead
-    ///   instance) are detected by the wave missing its per-attempt
-    ///   deadline and resent on the next attempt — instances that
-    ///   already applied are left alone.
-    /// * ⑤ `PROPAGATE` losses are recovered by resending the staged
-    ///   configuration and then force-applying it directly at each
-    ///   straggler, which re-forwards the wave downstream.
+    /// * Each attempt sends ③ `SEND_RECONF` to every instance not yet
+    ///   applied and collects the acks. A lost ③ makes the attempt miss
+    ///   its deadline, and the retry sends it again.
+    /// * Then ⑤ `PROPAGATE` goes to the roots, the paper's progressive
+    ///   wave, unless some instance already applied or exited: that
+    ///   one never sends its ⑤ again, so every straggler is
+    ///   force-applied and forwards the wave downstream.
     /// * An instance that exits (or whose inbox is gone) counts as
-    ///   done — its `Eos` tokens are out and it holds no state the
-    ///   wave could move — but the wave reports
-    ///   [`ReconfigError::Nack`] since it could not complete as sent.
+    ///   done: its `Eos` tokens are out and it holds no state to move.
     ///
-    /// One "window" of [`WaveConfig::deadline_windows`] is interpreted
-    /// as 100 ms here; retry `k` gets `deadline × backoff^k`. Injected
-    /// [`ControlFate::Delay`] fates use the same scale: a delay of `d`
-    /// windows holds the message in a coordinator-side timer queue for
-    /// `d × 100 ms` — the coordinator keeps collecting acks meanwhile
-    /// instead of sleeping.
+    /// Attempt `k` may take `max(2, deadline_windows × backoff^k)`
+    /// windows. A [`ControlFate::Delay`] of `d` windows holds the
+    /// message in a timer queue for `d × 100 ms` while acks keep being
+    /// collected. The live runtime never rolls a wave back.
     ///
     /// # Errors
     ///
-    /// [`ReconfigError::Timeout`] when the deadline and every retry
-    /// are exhausted with instances still unapplied;
-    /// [`ReconfigError::Nack`] when the wave completed but one or more
-    /// participants had exited mid-wave.
+    /// [`ReconfigError::Timeout`] when every attempt missed its
+    /// deadline; [`ReconfigError::Nack`] when the wave completed with
+    /// some participants exited, so not as sent.
     pub fn reconfigure_with_deadline(
         &self,
         plan: LiveReconfig,
         wave: WaveConfig,
     ) -> Result<(), ReconfigError> {
-        let n = self.n_instances;
+        let addr = &self.shared.addr;
         // Split the plan per instance once, so retries can resend it.
-        let (bases, parallelism) = (&self.shared.poi_base, &self.shared.parallelism);
         let staged = split_plan(
-            n,
+            addr.total(),
             plan.routers.iter().flat_map(|(po, edge, router)| {
-                let base = bases[po.index()];
-                (0..parallelism[po.index()]).map(move |i| (base + i, *edge, Arc::clone(router)))
+                (addr.instances(po.index())).map(move |idx| (idx, *edge, Arc::clone(router)))
             }),
             plan.migrations.iter().map(|&(po, key, old, new)| {
-                let base = bases[po.index()];
+                let base = addr.instances(po.index()).start;
                 (base + old, key, base + new)
             }),
         );
 
-        let mut heard = vec![Heard::Nothing; n];
+        let started = Instant::now();
+        let mut coord = WaveCoordinator::new(addr.total(), &addr.roots, wave, 0);
         // Discard coordinator leftovers of earlier waves; exits are
         // permanent and kept.
-        while let Ok(msg) = self.coord_rx.try_recv() {
-            if let CoordMsg::Exited(idx) = msg {
-                heard[idx] = Heard::Exited;
+        while let Ok((idx, news)) = self.coord_rx.try_recv() {
+            if news == Heard::Exited {
+                coord.hear(idx, news);
             }
         }
 
@@ -1029,117 +991,73 @@ impl LiveRuntime {
         // due time instead of blocking the coordinator; they are
         // delivered from the ④/⑥ collection loops as they come due.
         let mut timers: Vec<(Instant, usize, Msg)> = Vec::new();
-
-        let mut last_attempt = 0;
-        for attempt in 0..=wave.max_retries {
-            last_attempt = attempt;
-            let budget = Duration::from_millis(
-                100 * wave.deadline_windows.max(2)
-                    * wave.backoff.max(1).saturating_pow(attempt),
-            );
-            let deadline = Instant::now() + budget;
-
-            // ③ stage at every instance that has not applied yet. The
-            // injector may drop (recovered by the next attempt) or
-            // delay messages (queued with their configured duration).
-            for idx in (0..n).rev() {
-                if heard[idx] >= Heard::Applied {
-                    continue;
-                }
+        loop {
+            let deadline = started + windows(coord.deadline());
+            for idx in coord.to_stage().into_iter().rev() {
                 let msg = Msg::Wave(WaveMsg::Reconf(staged[idx].clone()));
-                match self.control_fate(ControlClass::SendReconf) {
-                    ControlFate::Deliver => {
-                        if self.shared.inboxes[idx].send(msg).is_err() {
-                            heard[idx] = Heard::Exited;
-                        }
-                    }
-                    ControlFate::Drop => {}
-                    ControlFate::Delay(d) => timers.push((
-                        Instant::now() + Duration::from_millis(100 * d.max(1)),
-                        idx,
-                        msg,
-                    )),
-                }
+                self.send_control(&mut coord, &mut timers, ControlClass::SendReconf, idx, msg);
             }
-
-            // ④ collect acks until the deadline.
-            if !self.collect(&mut heard, &mut timers, deadline, Heard::Acked) {
-                continue; // deadline missed in the stage phase: retry
-            }
-
-            // ⑤ release the wave. First attempt: propagate from the
-            // roots, the paper's progressive wave. Retries: force-apply
-            // directly at each straggler — the propagates it was
-            // waiting for are lost for good.
-            if attempt == 0 {
-                for &root in &self.roots {
-                    match self.control_fate(ControlClass::Propagate) {
-                        ControlFate::Deliver => {
-                            // A dead root is tracked immediately — the
-                            // wave must not wait on its apply.
-                            let propagate = Msg::Wave(WaveMsg::Propagate);
-                            if self.shared.inboxes[root].send(propagate).is_err() {
-                                heard[root] = Heard::Exited;
-                            }
-                        }
-                        ControlFate::Drop => {}
-                        ControlFate::Delay(d) => timers.push((
-                            Instant::now() + Duration::from_millis(100 * d.max(1)),
-                            root,
-                            Msg::Wave(WaveMsg::Propagate),
-                        )),
+            if self.collect(&mut coord, &mut timers, deadline, Heard::Acked) {
+                // ⑤ goes through the injector; a forced apply is the
+                // recovery from lost ones, so it is sent directly.
+                let (step, targets) = coord.release();
+                for idx in targets {
+                    let msg = Msg::Wave(step.clone());
+                    if matches!(step, WaveMsg::Propagate) {
+                        let class = ControlClass::Propagate;
+                        self.send_control(&mut coord, &mut timers, class, idx, msg);
+                    } else if self.shared.inboxes[idx].send(msg).is_err() {
+                        coord.hear(idx, Heard::Exited);
                     }
                 }
-            } else {
-                for (idx, got) in heard.iter_mut().enumerate() {
-                    let force = Msg::Wave(WaveMsg::ForceApply);
-                    if *got < Heard::Applied && self.shared.inboxes[idx].send(force).is_err() {
-                        *got = Heard::Exited;
-                    }
+                if self.collect(&mut coord, &mut timers, deadline, Heard::Applied) {
+                    break;
                 }
             }
-
-            // ⑥ wait for every instance to apply, until the deadline.
-            if self.collect(&mut heard, &mut timers, deadline, Heard::Applied) {
-                // Bump the routing epoch: span observations recorded
-                // from here on ran under the new tables. Use the
-                // epoch the manager stamped on its tables when
-                // available (keeps live and manager numbering
-                // aligned), but never go backwards.
-                let stamped = plan
-                    .routers
-                    .iter()
-                    .filter_map(|(_, _, r)| r.epoch())
-                    .max()
-                    .unwrap_or(0);
-                let next = (self.shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
-                self.shared.epoch.store(next, Ordering::Relaxed);
-                return if heard.contains(&Heard::Exited) {
-                    Err(ReconfigError::Nack)
-                } else {
-                    Ok(())
-                };
+            let now = started.elapsed().as_millis() as u64 / WINDOW_MS;
+            if !coord.retry(now) {
+                return Err(coord.failure());
             }
         }
-        Err(ReconfigError::Timeout {
-            attempt: last_attempt,
-        })
+        // Bump the routing epoch: span observations recorded from here
+        // on ran under the new tables. Use the epoch the manager
+        // stamped on its tables when available (keeps live and manager
+        // numbering aligned), but never go backwards.
+        let stamped = plan
+            .routers
+            .iter()
+            .filter_map(|(_, _, r)| r.epoch())
+            .max()
+            .unwrap_or(0);
+        let next = (self.shared.epoch.load(Ordering::Relaxed) + 1).max(stamped);
+        self.shared.epoch.store(next, Ordering::Relaxed);
+        coord.outcome().expect("every instance applied or exited")
     }
 
-    /// Collects worker notifications into `heard` until every instance
+    /// Collects worker notifications into `coord` until every instance
     /// got as far as `goal` or `deadline` passes, delivering queued
     /// delay-injected control messages as they come due. Returns
     /// whether the goal was met.
     fn collect(
         &self,
-        heard: &mut [Heard],
+        coord: &mut WaveCoordinator,
         timers: &mut Vec<(Instant, usize, Msg)>,
         deadline: Instant,
         goal: Heard,
     ) -> bool {
-        while heard.iter().any(|&h| h < goal) {
-            deliver_due_timers(&self.shared, timers, heard);
+        while coord.pending(goal) > 0 {
+            // Deliver the delayed messages that came due, except to
+            // instances that finished the wave (stale); a failed send
+            // marks the target as exited.
             let now = Instant::now();
+            let (due, waiting) = std::mem::take(timers).into_iter().partition(|t| t.0 <= now);
+            *timers = waiting;
+            for (_, idx, msg) in due {
+                let stale = coord.heard(idx) >= Heard::Applied;
+                if !stale && self.shared.inboxes[idx].send(msg).is_err() {
+                    coord.hear(idx, Heard::Exited);
+                }
+            }
             let Some(left) = deadline
                 .checked_duration_since(now)
                 .filter(|d| !d.is_zero())
@@ -1149,16 +1067,13 @@ impl LiveRuntime {
             // Wake for the earliest queued delayed message, if sooner.
             let wait = (timers.iter().map(|t| t.0).min())
                 .map_or(left, |due| due.saturating_duration_since(now).min(left));
-            let (idx, news) = match self.coord_rx.recv_timeout(wait) {
-                Ok(CoordMsg::Ack(idx)) => (idx, Heard::Acked),
-                Ok(CoordMsg::Applied(idx)) => (idx, Heard::Applied),
-                Ok(CoordMsg::Exited(idx)) => (idx, Heard::Exited),
+            match self.coord_rx.recv_timeout(wait) {
+                Ok((idx, news)) => coord.hear(idx, news),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
-            };
-            heard[idx] = heard[idx].max(news);
+            }
         }
-        heard.iter().all(|&h| h >= goal)
+        coord.pending(goal) == 0
     }
 
     /// Arms fault injection: [`DropControl`] / [`DelayControl`] events
@@ -1186,17 +1101,15 @@ impl LiveRuntime {
     /// respawned live instance re-fetches the *current* tables from
     /// the manager, not the checkpoint's.
     pub fn checkpoint_now(&mut self) -> ClusterCheckpoint {
-        let mut states = Vec::with_capacity(self.n_instances);
-        for po_idx in 0..self.shared.parallelism.len() {
-            for i in 0..self.shared.parallelism[po_idx] {
-                states.push(self.probe_state(PoId(po_idx), i).unwrap_or_default());
-            }
-        }
+        let n = self.instances();
+        let states = (0..n)
+            .map(|idx| self.probe(idx).unwrap_or_default())
+            .collect();
         self.checkpoint_seq += 1;
         let cp = ClusterCheckpoint {
             window_index: self.checkpoint_seq,
             states,
-            routers: vec![Vec::new(); self.n_instances],
+            routers: vec![Vec::new(); n],
         };
         self.last_checkpoint = Some(cp.clone());
         cp
@@ -1216,7 +1129,7 @@ impl LiveRuntime {
     /// restarted generator would replay its stream. At-most-once:
     /// state updates since the checkpoint and queued tuples are gone.
     pub fn crash_instance(&self, po: PoId, instance: usize) {
-        let idx = self.shared.poi_base[po.index()] + instance;
+        let idx = self.shared.addr.instances(po.index()).start + instance;
         let restore = self
             .last_checkpoint
             .as_ref()
@@ -1248,29 +1161,6 @@ impl LiveRuntime {
             .collect();
         reports.sort_by_key(|r| (r.po.index(), r.instance));
         reports
-    }
-}
-
-/// Delivers every delay-injected control message whose due time has
-/// passed. Timers aimed at an instance that already finished the wave
-/// are dropped (stale); a failed send marks the target as exited so
-/// the wave never waits on a dead instance.
-fn deliver_due_timers(
-    shared: &WorkerShared,
-    timers: &mut Vec<(Instant, usize, Msg)>,
-    heard: &mut [Heard],
-) {
-    let now = Instant::now();
-    let mut i = 0;
-    while i < timers.len() {
-        if timers[i].0 > now {
-            i += 1;
-            continue;
-        }
-        let (_, idx, msg) = timers.swap_remove(i);
-        if heard[idx] < Heard::Applied && shared.inboxes[idx].send(msg).is_err() {
-            heard[idx] = Heard::Exited;
-        }
     }
 }
 
@@ -1480,6 +1370,7 @@ impl DataPath {
                     Admit::Process => {}
                     Admit::Buffer { .. } => continue,
                     Admit::Forward(owner) => {
+                        shared.hot.late_forwarded.add(run.len() as u64);
                         let msg = match run {
                             [tuple] => Msg::Data(*tuple),
                             _ => Msg::Batch(run.to_vec()),
@@ -1550,7 +1441,7 @@ fn operator_loop(
     shared: Arc<WorkerShared>,
     rx: Receiver<Msg>,
 ) -> InstanceReport {
-    let (my_idx, preds) = (ctx.my_idx, ctx.preds);
+    let (my_idx, preds) = (ctx.my_idx, shared.addr.preds[ctx.po_idx]);
     let mut slots: ObserverSlots = HashMap::new();
     for (e, f, o) in observers {
         slots.entry(e.index()).or_default().push((f, o));
@@ -1614,19 +1505,8 @@ fn operator_loop(
                         dp.process_batch(&shared, &buffered);
                     }
                 }
-                if draining && !dp.ctx.wave.holds_tuples() {
-                    break;
-                }
             }
-            Msg::Eos => {
-                eos_seen += 1;
-                if eos_seen >= preds {
-                    if !dp.ctx.wave.holds_tuples() {
-                        break;
-                    }
-                    draining = true;
-                }
-            }
+            Msg::Eos => eos_seen += 1,
             Msg::StateProbe(reply) => {
                 // Checkpoint boundary: buffered output is handed off
                 // before the state snapshot is taken.
@@ -1652,13 +1532,13 @@ fn operator_loop(
                         _ => {}
                     }
                 }
-                if eos_seen >= preds {
-                    if !dp.ctx.wave.holds_tuples() {
-                        break;
-                    }
-                    draining = true;
-                }
             }
+        }
+        if eos_seen >= preds {
+            if !dp.ctx.wave.holds_tuples() {
+                break;
+            }
+            draining = true;
         }
     }
     // Adopt keys still buffered for a `Migrate` that never came (lost
@@ -2157,7 +2037,7 @@ mod tests {
         let mut exited = HashSet::new();
         while exited.len() < rt.instances() {
             match rt.coord_rx.recv_timeout(Duration::from_secs(30)) {
-                Ok(CoordMsg::Exited(idx)) => {
+                Ok((idx, Heard::Exited)) => {
                     exited.insert(idx);
                 }
                 Ok(_) => {}
@@ -2407,7 +2287,9 @@ mod tests {
     fn migrating_wave_keeps_every_tuple_on_the_batch_path() {
         // Instances that shipped state keep forwarding those keys until
         // the next wave; their later batches must still be dispatched
-        // run by run, never one tuple at a time.
+        // run by run, never one tuple at a time. And by per-sender FIFO
+        // every tuple routed by the old tables reaches its old owner
+        // ahead of the last ⑤, so a progressive wave forwards none.
         let (n, keys, total) = (3, 9, 30_000);
         let process = Arc::new(AtomicU64::new(0));
         let on_batch = Arc::new(AtomicU64::new(0));
@@ -2420,7 +2302,12 @@ mod tests {
         });
         let topo = chain_with(n, keys, total, SourceRate::PerSecond(50_000.0), factory);
         let placement = Placement::aligned(&topo, n);
-        let rt = LiveRuntime::start(topo, placement, n, LiveConfig::default());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let config = LiveConfig {
+            metrics: Some(Arc::clone(&metrics)),
+            ..LiveConfig::default()
+        };
+        let rt = LiveRuntime::start(topo, placement, n, config);
         std::thread::sleep(Duration::from_millis(20));
         rt.reconfigure(hash_to_modulo(n, keys));
         let reports = rt.join();
@@ -2428,6 +2315,13 @@ mod tests {
             process.load(Ordering::Relaxed),
             0,
             "tuples left the batch path"
+        );
+        let snap = metrics.snapshot();
+        let forwarded = snap.iter().find(|(n, _)| n == "live_late_forwarded_total");
+        assert_eq!(
+            forwarded.map(|(_, v)| *v),
+            Some(0),
+            "a straggler was forwarded"
         );
         assert_eq!(on_batch.load(Ordering::Relaxed), total);
         let b_counts = counts_of(&reports, PoId(2));
@@ -2727,7 +2621,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_millis(200);
         while let Some(left) = deadline.checked_duration_since(Instant::now()) {
             match rt.coord_rx.recv_timeout(left) {
-                Ok(CoordMsg::Applied(idx)) => panic!("instance {idx} applied an unstaged wave"),
+                Ok((idx, Heard::Applied)) => panic!("instance {idx} applied an unstaged wave"),
                 Ok(_) => {}
                 Err(_) => break,
             }

@@ -199,6 +199,14 @@ impl TraceEventKind {
             Self::SpanEnd { .. } => "span_end",
         }
     }
+
+    /// ④ `poi` acked, with `pending` acks still outstanding.
+    pub(crate) fn ack_reconf(poi: usize, pending: usize) -> Self {
+        Self::AckReconf {
+            poi,
+            acks_pending: pending,
+        }
+    }
 }
 
 /// One recorded event: a [`TraceEventKind`] stamped with sequence

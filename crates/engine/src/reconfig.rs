@@ -4,11 +4,12 @@
 //! This module implements the *mechanism* side of the protocol — the
 //! wave of control messages, routing-table swaps, state migration and
 //! tuple buffering executed by the operator instances. What each
-//! instance does with ③, ⑤ and ⑥ and with every tuple is decided by
-//! the sans-IO rules of `wave.rs`, which the live runtime shares; this
+//! instance does with ③, ⑤ and ⑥ and with every tuple, and when the
+//! manager stages, releases, retries or gives up, is decided by the
+//! sans-IO rules of `wave.rs`, which the live runtime shares; this
 //! module adds the simulator's I/O (control queue, NIC charging, lost
-//! migrations) and its coordinator (deadlines, rollback, retries,
-//! degradation to hash routing). The *policy* side (collecting
+//! migrations) and its recovery (rollback, degradation to hash
+//! routing). The *policy* side (collecting
 //! statistics, partitioning the key graph and computing the
 //! [`ReconfigPlan`]) lives in `streamloc-core`'s `Manager`, mirroring
 //! the paper's separation between POIs and the manager process.
@@ -20,7 +21,7 @@
 //! * ③ `SEND_RECONF` — every POI receives its routing-table update,
 //!   send list and receive list; it immediately starts buffering
 //!   tuples for receive-list keys.
-//! * ④ `ACK_RECONF` — modeled by the executor counting staged POIs.
+//! * ④ `ACK_RECONF` — the wave coordinator records each staged POI.
 //! * ⑤ `PROPAGATE` — once all POIs acked, the manager propagates to
 //!   the source POIs; each POI that has received a propagate from
 //!   *every* instance of *every* predecessor operator applies its new
@@ -45,7 +46,7 @@ use crate::operator::StateValue;
 use crate::router::{HashRouter, KeyRouter};
 use crate::sim::{LostMigration, NetMsg, NetPayload, OutKind, Simulation};
 use crate::topology::{EdgeId, Grouping, PoId, PoiId};
-use crate::wave::{split_plan, StagedReconf, WaveMsg};
+use crate::wave::{split_plan, Heard, StagedReconf, WaveCoordinator, WaveMsg};
 
 /// How many times a dropped ⑥ `MIGRATE` message is retransmitted
 /// before the engine recovers the state out of band (from its
@@ -98,11 +99,18 @@ impl fmt::Display for ReconfigInProgress {
 
 impl std::error::Error for ReconfigInProgress {}
 
-/// Why a reconfiguration wave failed (surfaced per window in
-/// [`WindowMetrics::reconfig_errors`] and returned by the live
-/// runtime's wave driver).
+/// Why a reconfiguration wave failed.
+///
+/// The simulator records one per failed attempt in
+/// [`WindowMetrics::reconfig_errors`] (`Timeout` or `Nack`, each
+/// followed by a rollback), then `Aborted` once it gives the wave up,
+/// and `MigrationLost` per migration recovered out of band. The live
+/// runtime's [`reconfigure_with_deadline`] returns `Timeout` once every
+/// retry missed its deadline, or `Nack` when the wave completed with
+/// some participants exited; it never rolls back.
 ///
 /// [`WindowMetrics::reconfig_errors`]: crate::WindowMetrics::reconfig_errors
+/// [`reconfigure_with_deadline`]: crate::LiveRuntime::reconfigure_with_deadline
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigError {
     /// The wave missed its deadline (attempt number is 0-based).
@@ -139,17 +147,19 @@ impl fmt::Display for ReconfigError {
 
 impl std::error::Error for ReconfigError {}
 
-/// Failure-handling knobs of one reconfiguration wave.
+/// Failure-handling knobs of one reconfiguration wave. A window is
+/// one simulation window in the simulator and 100 ms in the live
+/// runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaveConfig {
-    /// Windows the wave may take before the manager declares it dead
-    /// and rolls it back.
+    /// Windows the first attempt may take before the manager declares
+    /// it failed. The simulator then rolls the wave back and restarts
+    /// it; the live runtime restages whatever has not applied yet.
     pub deadline_windows: u64,
-    /// Full restarts attempted after a timeout or nack before the
-    /// wave is abandoned.
+    /// Retries after a failed attempt before the wave is given up.
     pub max_retries: u32,
-    /// Deadline multiplier applied per retry (exponential backoff:
-    /// attempt `k` gets `deadline_windows * backoff^k`).
+    /// Deadline multiplier per retry (exponential backoff: attempt `k`
+    /// gets `deadline_windows * backoff^k` windows, at least 2).
     pub backoff: u64,
 }
 
@@ -163,24 +173,16 @@ impl Default for WaveConfig {
     }
 }
 
-/// Manager-side progress tracking of the running wave, including the
-/// failure-recovery context: the plan (for retries), the pre-wave
-/// router snapshot (for rollback) and the deadline clock.
+/// The running wave: its coordinator, the plan (for retries), the
+/// trace ids and the pre-wave router snapshot (for rollback).
 pub(crate) struct ReconfigExec {
-    pub(crate) acks_pending: usize,
-    pub(crate) applies_pending: usize,
+    pub(crate) coord: WaveCoordinator,
     pub(crate) plan: ReconfigPlan,
-    pub(crate) wave: WaveConfig,
-    pub(crate) attempt: u32,
-    pub(crate) deadline: u64,
     /// Stable identifier of this wave across retries (trace
-    /// attribution); assigned from `Simulation::wave_seq`.
+    /// attribution): waves are numbered from 0 in start order.
     pub(crate) wave_id: u64,
     /// Window the wave (attempt 0) started in.
     pub(crate) started_at: u64,
-    /// Set when a participant died or rejected mid-wave; triggers a
-    /// rollback at the next progress check.
-    pub(crate) nacked: bool,
     /// Every POI's fields routers as they were before the wave, for
     /// rollback.
     pub(crate) pre_wave_routers: Vec<Vec<(EdgeId, Arc<dyn KeyRouter>)>>,
@@ -226,9 +228,7 @@ impl Simulation {
             );
         }
         let pre_wave_routers = self.snapshot_routers();
-        let deadline = self.window_index + wave.deadline_windows.max(2);
-        let wave_id = self.wave_seq;
-        self.wave_seq += 1;
+        let wave_id = self.last_wave.map_or(0, |w| w + 1);
         self.last_wave = Some(wave_id);
         if self.tracer.is_some() {
             // ①/② — the metrics exchange that precedes every wave: the
@@ -248,25 +248,22 @@ impl Simulation {
                 },
             );
         }
-        self.enqueue_wave(&plan);
+        let coord =
+            WaveCoordinator::new(self.pois.len(), &self.addr.roots, wave, self.window_index);
+        self.enqueue_wave(&plan, &coord);
         self.reconfig = Some(ReconfigExec {
-            acks_pending: self.pois.len(),
-            applies_pending: self.pois.len(),
+            coord,
             plan,
-            wave,
-            attempt: 0,
-            deadline,
             wave_id,
             started_at: self.window_index,
-            nacked: false,
             pre_wave_routers,
         });
         Ok(())
     }
 
-    /// Enqueues the ③ `SEND_RECONF` messages of `plan` for delivery at
-    /// the next window.
-    fn enqueue_wave(&mut self, plan: &ReconfigPlan) {
+    /// Enqueues the ③ `SEND_RECONF` messages of `plan` that `coord`
+    /// stages, for delivery at the next window.
+    fn enqueue_wave(&mut self, plan: &ReconfigPlan, coord: &WaveCoordinator) {
         let staged = split_plan(
             self.pois.len(),
             plan.routers
@@ -277,8 +274,9 @@ impl Simulation {
                 .map(|&(from, key, to)| (from.index(), key, to.index())),
         );
         let due = self.window_index; // delivered at the next step (1 hop)
-        for (idx, staged) in staged.into_iter().enumerate().rev() {
-            self.control_queue.push((due, idx, WaveMsg::Reconf(staged)));
+        for idx in coord.to_stage().into_iter().rev() {
+            let msg = WaveMsg::Reconf(staged[idx].clone());
+            self.control_queue.push((due, idx, msg));
         }
     }
 
@@ -315,20 +313,10 @@ impl Simulation {
     /// Processes every control message due at the current window.
     pub(crate) fn process_due_control(&mut self, wm: &mut WindowMetrics) {
         let now = self.window_index;
-        if self.control_queue.is_empty() {
-            return;
-        }
         // Stable processing order: (due, poi), preserving insertion
         // order for equal keys.
-        let mut due: Vec<(u64, usize, WaveMsg)> = Vec::new();
-        let mut remaining = Vec::with_capacity(self.control_queue.len());
-        for msg in self.control_queue.drain(..) {
-            if msg.0 <= now {
-                due.push(msg);
-            } else {
-                remaining.push(msg);
-            }
-        }
+        let (mut due, remaining): (Vec<_>, Vec<_>) =
+            self.control_queue.drain(..).partition(|msg| msg.0 <= now);
         self.control_queue = remaining;
         due.sort_by_key(|&(when, poi, _)| (when, poi));
         for (_, poi, msg) in due {
@@ -381,31 +369,16 @@ impl Simulation {
             return; // stale message from an aborted wave
         }
         self.pois[idx].wave.stage(staged);
-        let manager_down = self.manager_down;
         let exec = self.reconfig.as_mut().expect("checked above");
-        exec.acks_pending = exec.acks_pending.saturating_sub(1);
-        let (wave_id, acks_pending) = (exec.wave_id, exec.acks_pending);
-        self.trace(
-            Some(wave_id),
-            TraceEventKind::AckReconf {
-                poi: idx,
-                acks_pending,
-            },
-        );
-        let exec = self.reconfig.as_mut().expect("checked above");
-        if exec.acks_pending == 0 && !manager_down {
-            // ⑤: all acks received; propagate to the root operators.
-            // A dead manager cannot release the wave — the deadline
-            // will roll it back instead.
-            let roots: Vec<usize> = (0..self.topo.pos.len())
-                .filter(|&po| self.topo.in_edges[po].is_empty())
-                .flat_map(|po| {
-                    let base = self.poi_base[po];
-                    (0..self.topo.pos[po].parallelism).map(move |i| base + i)
-                })
-                .collect();
-            for poi in roots {
-                self.control_queue.push((now + 1, poi, WaveMsg::Propagate));
+        exec.coord.hear(idx, Heard::Acked);
+        let (wave_id, pending) = (exec.wave_id, exec.coord.pending(Heard::Acked));
+        // ⑤ once every instance acked. A dead manager cannot release
+        // the wave: the deadline will roll it back instead.
+        let release = (pending == 0 && !self.manager_down).then(|| exec.coord.release());
+        self.trace(Some(wave_id), TraceEventKind::ack_reconf(idx, pending));
+        if let Some((step, targets)) = release {
+            for poi in targets {
+                self.control_queue.push((now + 1, poi, step.clone()));
             }
         }
     }
@@ -432,23 +405,15 @@ impl Simulation {
         }
 
         // Forward the wave to every instance of every successor.
-        let successors: Vec<usize> = self.topo.out_edges[self.pois[idx].po.index()]
-            .iter()
-            .flat_map(|&e| {
-                let to = self.topo.edges[e.index()].to;
-                let base = self.poi_base[to.index()];
-                (0..self.topo.pos[to.index()].parallelism).map(move |i| base + i)
-            })
-            .collect();
-        for poi in successors {
+        for &poi in &self.addr.successors[self.pois[idx].po.index()] {
             self.control_queue.push((now + 1, poi, WaveMsg::Propagate));
         }
 
         let Some(exec) = self.reconfig.as_mut() else {
             return; // wave already rolled back; apply was harmless
         };
-        exec.applies_pending = exec.applies_pending.saturating_sub(1);
-        if exec.applies_pending == 0 {
+        exec.coord.hear(idx, Heard::Applied);
+        if exec.coord.outcome().is_some() {
             let (wave_id, started_at) = (exec.wave_id, exec.started_at);
             self.reconfig = None;
             let duration_windows = now.saturating_sub(started_at);
@@ -567,19 +532,9 @@ impl Simulation {
     /// Retransmits migrations whose previous attempt was dropped or
     /// delayed and whose retry timer expired.
     pub(crate) fn process_lost_migrations(&mut self, wm: &mut WindowMetrics) {
-        if self.lost_migrations.is_empty() {
-            return;
-        }
         let now = self.window_index;
-        let mut due = Vec::new();
-        let mut waiting = Vec::with_capacity(self.lost_migrations.len());
-        for lm in self.lost_migrations.drain(..) {
-            if lm.redeliver_at <= now {
-                due.push(lm);
-            } else {
-                waiting.push(lm);
-            }
-        }
+        let (mut due, waiting): (Vec<_>, Vec<_>) =
+            (self.lost_migrations.drain(..)).partition(|lm| lm.redeliver_at <= now);
         self.lost_migrations = waiting;
         // Stable order for determinism.
         due.sort_by_key(|lm| (lm.to, lm.key));
@@ -594,55 +549,37 @@ impl Simulation {
     ///
     /// [`Simulation::step`]: crate::Simulation::step
     pub(crate) fn check_wave_progress(&mut self, wm: &mut WindowMetrics) {
-        let Some(exec) = &self.reconfig else { return };
         let now = self.window_index;
-        let nacked = exec.nacked;
-        if !nacked && now < exec.deadline {
+        if !self.reconfig.as_ref().is_some_and(|e| e.coord.expired(now)) {
             return;
         }
-        let exec = self.reconfig.take().expect("checked above");
+        let mut exec = self.reconfig.take().expect("checked above");
         self.rollback_wave(&exec);
+        let failure = exec.coord.failure();
         self.trace(
             Some(exec.wave_id),
             TraceEventKind::WaveRolledBack {
-                nacked,
-                attempt: exec.attempt,
+                nacked: failure == ReconfigError::Nack,
+                attempt: exec.coord.attempt(),
             },
         );
-        wm.reconfig_errors.push(if nacked {
-            ReconfigError::Nack
-        } else {
-            ReconfigError::Timeout {
-                attempt: exec.attempt,
-            }
-        });
-        if self.manager_down {
-            // No manager left to retry the wave: give up and fall back
-            // to hash routing so data keeps flowing correctly.
-            wm.reconfig_errors.push(ReconfigError::Aborted);
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
-            self.degrade_to_hash(wm);
+        wm.reconfig_errors.push(failure);
+        // The rollback undid every instance's progress, so a retry
+        // stages everywhere and releases from the roots again. A dead
+        // manager cannot retry.
+        exec.coord.reset();
+        if !self.manager_down && exec.coord.retry(now) {
+            let attempt = exec.coord.attempt();
+            self.trace(Some(exec.wave_id), TraceEventKind::WaveRetried { attempt });
+            self.enqueue_wave(&exec.plan, &exec.coord);
+            self.reconfig = Some(exec);
             return;
         }
-        if exec.attempt < exec.wave.max_retries {
-            let attempt = exec.attempt + 1;
-            let horizon = exec
-                .wave
-                .deadline_windows
-                .saturating_mul(exec.wave.backoff.max(1).saturating_pow(attempt));
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveRetried { attempt });
-            self.enqueue_wave(&exec.plan);
-            self.reconfig = Some(ReconfigExec {
-                acks_pending: self.pois.len(),
-                applies_pending: self.pois.len(),
-                attempt,
-                deadline: now + horizon.max(2),
-                nacked: false,
-                ..exec
-            });
-        } else {
-            wm.reconfig_errors.push(ReconfigError::Aborted);
-            self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
+        wm.reconfig_errors.push(ReconfigError::Aborted);
+        self.trace(Some(exec.wave_id), TraceEventKind::WaveAborted);
+        if self.manager_down {
+            // Fall back to hash routing so data keeps flowing correctly.
+            self.degrade_to_hash(wm);
         }
     }
 
@@ -744,15 +681,14 @@ impl Simulation {
             if self.topo.state_field(dest_po).is_none() {
                 continue;
             }
-            let parallelism = self.topo.pos[dest_po.index()].parallelism;
-            let base = self.poi_base[dest_po.index()];
-            for i in 0..parallelism {
-                let mut keys: Vec<Key> = self.pois[base + i].state.keys().copied().collect();
+            let dests = self.addr.instances(dest_po.index());
+            for idx in dests.clone() {
+                let mut keys: Vec<Key> = self.pois[idx].state.keys().copied().collect();
                 keys.sort_unstable();
                 for key in keys {
-                    let owner = HashRouter.route(key, parallelism) as usize;
-                    if owner != i {
-                        moves.push((base + i, base + owner, key));
+                    let owner = dests.start + HashRouter.route(key, dests.len()) as usize;
+                    if owner != idx {
+                        moves.push((idx, owner, key));
                     }
                 }
             }

@@ -28,7 +28,7 @@ use crate::topology::{
     EdgeId, Grouping, PoId, PoKind, PoiId, ServerId, SourceRate, Topology, TupleSource,
 };
 use crate::tuple::Tuple;
-use crate::wave::{Admit, WaveInstance, WaveMsg};
+use crate::wave::{Addressing, Admit, WaveInstance, WaveMsg};
 
 /// Observes the `(input key, output key)` pairs flowing through a
 /// stateful instance — the instrumentation hook of paper §3.2.
@@ -198,7 +198,6 @@ pub(crate) struct OutRt {
 
 pub(crate) struct PoiRt {
     pub(crate) po: PoId,
-    pub(crate) instance: usize,
     pub(crate) server: ServerId,
     pub(crate) kind: PoiKindRt,
     pub(crate) cost_per_tuple: f64,
@@ -293,7 +292,7 @@ pub struct Simulation {
     pub(crate) cluster: ClusterSpec,
     pub(crate) config: SimConfig,
     pub(crate) pois: Vec<PoiRt>,
-    pub(crate) poi_base: Vec<usize>,
+    pub(crate) addr: Addressing,
     pub(crate) servers: Vec<ServerRt>,
     pub(crate) racks: Vec<RackRt>,
     pub(crate) window_index: u64,
@@ -321,8 +320,6 @@ pub struct Simulation {
     pub(crate) span_sampler: Option<SpanSampler>,
     /// Histogram-backed span recorder, created with the sampler.
     pub(crate) span_rec: Option<SpanRecorder>,
-    /// Waves started so far; the next wave gets this id.
-    pub(crate) wave_seq: u64,
     /// Id of the most recently started wave, kept after completion so
     /// late migrations and buffering events stay attributable.
     pub(crate) last_wave: Option<u64>,
@@ -443,19 +440,10 @@ impl Simulation {
             topology.pos.len(),
             "placement does not match topology"
         );
-        let mut poi_base = Vec::with_capacity(topology.pos.len());
-        let mut next = 0usize;
-        for po in &topology.pos {
-            poi_base.push(next);
-            next += po.parallelism;
-        }
-        let mut pois = Vec::with_capacity(next);
+        let addr = Addressing::new(&topology);
+        let mut pois = Vec::with_capacity(addr.total());
         for (po_idx, po) in topology.pos.iter().enumerate() {
             let po_id = PoId(po_idx);
-            let preds: usize = topology.in_edges[po_idx]
-                .iter()
-                .map(|&e| topology.pos[topology.edges[e.index()].from.index()].parallelism)
-                .sum();
             for instance in 0..po.parallelism {
                 let server = placement.server(po_id, instance);
                 assert!(server.0 < cluster.servers, "placement server out of range");
@@ -502,7 +490,6 @@ impl Simulation {
                     .collect();
                 pois.push(PoiRt {
                     po: po_id,
-                    instance,
                     server,
                     kind,
                     cost_per_tuple: po
@@ -512,7 +499,7 @@ impl Simulation {
                     state: HashMap::new(),
                     out,
                     observers: HashMap::new(),
-                    wave: WaveInstance::new(preds),
+                    wave: WaveInstance::new(addr.preds[po_idx]),
                 });
             }
         }
@@ -534,7 +521,7 @@ impl Simulation {
             cluster,
             config,
             pois,
-            poi_base,
+            addr,
             servers,
             racks,
             window_index: 0,
@@ -553,7 +540,6 @@ impl Simulation {
             obs_metrics: None,
             span_sampler: None,
             span_rec: None,
-            wave_seq: 0,
             last_wave: None,
         }
     }
@@ -660,10 +646,7 @@ impl Simulation {
     /// Global instance ids of operator `po`, in instance order.
     #[must_use]
     pub fn poi_ids(&self, po: PoId) -> Vec<PoiId> {
-        let base = self.poi_base[po.index()];
-        (0..self.topo.pos[po.index()].parallelism)
-            .map(|i| PoiId(base + i))
-            .collect()
+        self.addr.instances(po.index()).map(PoiId).collect()
     }
 
     /// Server hosting `poi`.
@@ -693,7 +676,7 @@ impl Simulation {
     /// Panics if `poi` is out of range.
     #[must_use]
     pub fn poi_instance(&self, poi: PoiId) -> usize {
-        self.pois[poi.index()].instance
+        poi.index() - self.addr.instances(self.pois[poi.index()].po.index()).start
     }
 
     /// The key state currently held by `poi` (for inspection/tests).
@@ -917,7 +900,7 @@ impl Simulation {
         // A wave participant died: its staged configuration and ack
         // are gone, so the wave cannot complete as sent.
         if let Some(exec) = self.reconfig.as_mut() {
-            exec.nacked = true;
+            exec.coord.nack();
         }
         let poi = &mut self.pois[idx];
         self.in_flight -= (poi.input.len() + poi.wave.reset()) as i64;
@@ -939,13 +922,10 @@ impl Simulation {
             }
             _ => return,
         };
-        let po = self.pois[idx].po;
-        let base = self.poi_base[po.index()];
-        let parallelism = self.topo.pos[po.index()].parallelism;
+        let peers = self.addr.instances(self.pois[idx].po.index());
         for (key, state) in restored_state {
-            let held_elsewhere = (0..parallelism)
-                .map(|i| base + i)
-                .any(|j| j != idx && self.pois[j].state.contains_key(&key));
+            let held_elsewhere =
+                (peers.clone()).any(|j| j != idx && self.pois[j].state.contains_key(&key));
             if !held_elsewhere {
                 self.pois[idx].state.insert(key, state);
             }
@@ -1087,10 +1067,8 @@ impl Simulation {
             if self.topo.pos[po.index()].is_source() {
                 continue;
             }
-            let base = self.poi_base[po.index()];
-            let parallelism = self.topo.pos[po.index()].parallelism;
-            for instance in 0..parallelism {
-                self.run_operator(base + instance, window, &mut wm);
+            for idx in self.addr.instances(po.index()) {
+                self.run_operator(idx, window, &mut wm);
             }
         }
 
@@ -1447,10 +1425,8 @@ impl Simulation {
                         router.route(tuple.key(*field), parallelism) as usize
                     }
                 };
-                (
-                    self.poi_base[out.dest_po.index()] + dest_instance,
-                    out.edge,
-                )
+                let base = self.addr.instances(out.dest_po.index()).start;
+                (base + dest_instance, out.edge)
             };
             let dest_server = self.pois[dest_global].server;
             if dest_server != from_server {

@@ -1,20 +1,79 @@
-//! The per-instance rules of the reconfiguration wave (paper §3.4,
-//! Algorithm 1), written once for both runtimes.
+//! The reconfiguration wave (paper §3.4, Algorithm 1), written once
+//! for both runtimes.
 //!
-//! [`WaveInstance`] is sans-IO: it owns one instance's wave state and
-//! answers each input with what to do, but sends, charges and moves
+//! Both halves of the protocol are sans-IO: they own the wave's state
+//! and answer each input with what to do, but send, charge and move
 //! nothing. The simulator (`reconfig.rs`) and the live runtime
-//! (`live.rs`) keep their own I/O and call it for every rule: stage ③,
-//! count ⑤ and apply on the last one (or on a forced apply), admit each
-//! key run (process, buffer or forward), release a key's buffer when
-//! its ⑥ arrives, and reset on a crash or restore.
+//! (`live.rs`) keep their own I/O and call them for every rule.
+//! [`WaveInstance`] is one instance's side: stage ③, count ⑤ and apply
+//! on the last one (or on a forced apply), admit each key run, release
+//! a key's buffer when its ⑥ arrives, and reset on a crash or restore.
+//! [`WaveCoordinator`] is the manager's side: whom to stage, where to
+//! release ⑤, when an attempt has failed and whether to retry.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::key::Key;
+use crate::reconfig::{ReconfigError, WaveConfig};
 use crate::router::KeyRouter;
-use crate::topology::EdgeId;
+use crate::topology::{EdgeId, Topology};
+
+/// Where the wave's messages go, computed once per deployment. Both
+/// runtimes name instance `i` of operator `po` by the global index
+/// `instances(po).start + i`.
+pub(crate) struct Addressing {
+    /// Global index of each operator's first instance, then the total.
+    bases: Vec<usize>,
+    /// Instances of the operators without inputs, where ⑤ starts.
+    pub(crate) roots: Vec<usize>,
+    /// Per operator: where its ⑤ and `Eos` go, once per out edge.
+    pub(crate) successors: Vec<Vec<usize>>,
+    /// Per operator: the ⑤ per wave (and `Eos`) an instance receives.
+    pub(crate) preds: Vec<usize>,
+}
+
+impl Addressing {
+    pub(crate) fn new(topo: &Topology) -> Self {
+        let mut bases = vec![0];
+        for po in &topo.pos {
+            bases.push(bases[bases.len() - 1] + po.parallelism);
+        }
+        let mut preds = vec![0; topo.pos.len()];
+        for edge in &topo.edges {
+            preds[edge.to.index()] += topo.pos[edge.from.index()].parallelism;
+        }
+        let instances = |po: usize| bases[po]..bases[po + 1];
+        let roots = (0..preds.len())
+            .filter(|&po| preds[po] == 0)
+            .flat_map(instances)
+            .collect();
+        let successors = (topo.out_edges.iter())
+            .map(|out| {
+                out.iter()
+                    .flat_map(|e| instances(topo.edges[e.index()].to.index()))
+                    .collect()
+            })
+            .collect();
+        Self {
+            bases,
+            roots,
+            successors,
+            preds,
+        }
+    }
+
+    /// Number of instances in the deployment.
+    pub(crate) fn total(&self) -> usize {
+        self.bases[self.bases.len() - 1]
+    }
+
+    /// Global indices of operator `po`'s instances.
+    pub(crate) fn instances(&self, po: usize) -> Range<usize> {
+        self.bases[po]..self.bases[po + 1]
+    }
+}
 
 /// The per-instance payload of a ③ `SEND_RECONF` message. Instances
 /// are named by their global index (operator base + instance).
@@ -47,6 +106,7 @@ pub(crate) fn split_plan(
 }
 
 /// The wave's control messages as an instance receives them.
+#[derive(Clone)]
 pub(crate) enum WaveMsg {
     /// ③ A new configuration to stage.
     Reconf(StagedReconf),
@@ -212,6 +272,149 @@ impl<B: Clone> WaveInstance<B> {
     }
 }
 
+/// The furthest a coordinator has heard one instance get in the
+/// running wave. An exited instance counts as done: its `Eos` tokens
+/// are out and it holds no state the wave could move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Heard {
+    Nothing,
+    Acked,
+    Applied,
+    Exited,
+}
+
+/// The manager's side of the wave: it records what each instance
+/// reported and decides whom to stage, where to release ⑤, when an
+/// attempt has failed and whether to retry. Time is counted in
+/// windows, which each runtime defines.
+pub(crate) struct WaveCoordinator {
+    /// Per instance; moves back only in [`reset`](Self::reset).
+    heard: Vec<Heard>,
+    roots: Vec<usize>,
+    wave: WaveConfig,
+    attempt: u32,
+    /// Window by which the current attempt must complete.
+    deadline: u64,
+    nacked: bool,
+}
+
+impl WaveCoordinator {
+    /// Attempt 0 of a wave over `n` instances, started at window `now`.
+    pub(crate) fn new(n: usize, roots: &[usize], wave: WaveConfig, now: u64) -> Self {
+        let mut coord = Self {
+            heard: vec![Heard::Nothing; n],
+            roots: roots.to_vec(),
+            wave,
+            attempt: 0,
+            deadline: 0,
+            nacked: false,
+        };
+        coord.start_attempt(now);
+        coord
+    }
+
+    /// Gives the current attempt `deadline_windows · backoff^attempt`
+    /// windows from `now`, and at least 2: ③ and ⑤ take a hop each.
+    fn start_attempt(&mut self, now: u64) {
+        let growth = self.wave.backoff.max(1).saturating_pow(self.attempt);
+        let horizon = self.wave.deadline_windows.saturating_mul(growth).max(2);
+        self.deadline = now.saturating_add(horizon);
+        self.nacked = false;
+    }
+
+    pub(crate) fn attempt(&self) -> u32 {
+        self.attempt
+    }
+
+    pub(crate) fn deadline(&self) -> u64 {
+        self.deadline
+    }
+
+    pub(crate) fn heard(&self, idx: usize) -> Heard {
+        self.heard[idx]
+    }
+
+    /// Records `news` of instance `idx`; older news changes nothing.
+    pub(crate) fn hear(&mut self, idx: usize, news: Heard) {
+        self.heard[idx] = self.heard[idx].max(news);
+    }
+
+    /// Instances not yet heard to reach `goal`.
+    pub(crate) fn pending(&self, goal: Heard) -> usize {
+        self.heard.iter().filter(|&&h| h < goal).count()
+    }
+
+    /// ③ goes to every instance not yet applied (or exited).
+    pub(crate) fn to_stage(&self) -> Vec<usize> {
+        (0..self.heard.len())
+            .filter(|&idx| self.heard[idx] < Heard::Applied)
+            .collect()
+    }
+
+    /// What releases the wave once the acks are in, and to whom: ⑤
+    /// `Propagate` at the roots (the paper's progressive wave) while no
+    /// instance got past `Acked`, else `ForceApply` at every instance
+    /// still to apply, as one that applied or exited sends no more ⑤.
+    pub(crate) fn release(&self) -> (WaveMsg, Vec<usize>) {
+        if self.heard.iter().all(|&h| h <= Heard::Acked) {
+            (WaveMsg::Propagate, self.roots.clone())
+        } else {
+            (WaveMsg::ForceApply, self.to_stage())
+        }
+    }
+
+    /// The wave's result once every instance applied or exited: `Nack`
+    /// if some exited, since the wave could not complete as sent.
+    pub(crate) fn outcome(&self) -> Option<Result<(), ReconfigError>> {
+        match self.pending(Heard::Applied) {
+            0 if self.heard.contains(&Heard::Exited) => Some(Err(ReconfigError::Nack)),
+            0 => Some(Ok(())),
+            _ => None,
+        }
+    }
+
+    /// A participant lost its staged configuration: the attempt fails.
+    pub(crate) fn nack(&mut self) {
+        self.nacked = true;
+    }
+
+    /// `true` once the attempt was nacked or `now` reached its deadline.
+    pub(crate) fn expired(&self, now: u64) -> bool {
+        self.nacked || now >= self.deadline
+    }
+
+    /// Why the current attempt failed.
+    pub(crate) fn failure(&self) -> ReconfigError {
+        if self.nacked {
+            ReconfigError::Nack
+        } else {
+            ReconfigError::Timeout {
+                attempt: self.attempt,
+            }
+        }
+    }
+
+    /// Starts the next attempt at window `now`, or returns `false`
+    /// (changing nothing) once `max_retries` retries are spent.
+    pub(crate) fn retry(&mut self, now: u64) -> bool {
+        if self.attempt >= self.wave.max_retries {
+            return false;
+        }
+        self.attempt += 1;
+        self.start_attempt(now);
+        true
+    }
+
+    /// After a rollback every instance but the exited starts over.
+    pub(crate) fn reset(&mut self) {
+        for h in &mut self.heard {
+            if *h != Heard::Exited {
+                *h = Heard::Nothing;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,5 +563,186 @@ mod tests {
         assert_eq!(staged[1].send, vec![(k(5), 2), (k(6), 0)]);
         assert!(staged[1].receive.is_empty());
         assert_eq!(staged[2].receive, vec![k(5)]);
+    }
+
+    #[test]
+    fn addressing_names_every_instance_once() {
+        use crate::operator::IdentityOperator;
+        use crate::topology::{Grouping, SourceRate};
+        // S(2) feeds A(3) and B(1); A feeds B too.
+        let mut b = Topology::builder();
+        let s = b.source("S", 2, SourceRate::Saturate, |_| Box::new(|| None));
+        let a = b.stateless("A", 3, IdentityOperator::factory());
+        let bb = b.stateless("B", 1, IdentityOperator::factory());
+        b.connect(s, a, Grouping::fields(0));
+        b.connect(s, bb, Grouping::Shuffle);
+        b.connect(a, bb, Grouping::Shuffle);
+        let addr = Addressing::new(&b.build().unwrap());
+        assert_eq!(addr.total(), 6);
+        assert_eq!([0, 1, 2].map(|po| addr.instances(po)), [0..2, 2..5, 5..6]);
+        assert_eq!(addr.roots, vec![0, 1]);
+        assert_eq!(addr.successors, vec![vec![2, 3, 4, 5], vec![5], vec![]]);
+        assert_eq!(addr.preds, vec![0, 2, 5]);
+    }
+
+    const WAVE: WaveConfig = WaveConfig {
+        deadline_windows: 4,
+        max_retries: 2,
+        backoff: 3,
+    };
+
+    fn hear_all(c: &mut WaveCoordinator, n: usize, news: Heard) {
+        for idx in 0..n {
+            c.hear(idx, news);
+        }
+    }
+
+    #[test]
+    fn staging_skips_applied_and_exited_instances() {
+        let mut c = WaveCoordinator::new(5, &[0], WAVE, 0);
+        assert_eq!(c.to_stage(), vec![0, 1, 2, 3, 4]);
+        c.hear(1, Heard::Acked);
+        c.hear(2, Heard::Applied);
+        c.hear(4, Heard::Exited);
+        assert_eq!(c.to_stage(), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn duplicate_news_is_idempotent_and_never_moves_back() {
+        let mut c = WaveCoordinator::new(2, &[0], WAVE, 0);
+        c.hear(0, Heard::Acked);
+        c.hear(0, Heard::Acked);
+        assert_eq!(c.pending(Heard::Acked), 1, "instance 1 has not acked");
+        c.hear(0, Heard::Applied);
+        c.hear(0, Heard::Applied);
+        c.hear(0, Heard::Acked);
+        assert_eq!(c.heard(0), Heard::Applied);
+        assert_eq!(c.pending(Heard::Applied), 1);
+        c.hear(0, Heard::Exited);
+        c.hear(0, Heard::Applied);
+        assert_eq!(c.heard(0), Heard::Exited);
+    }
+
+    #[test]
+    fn release_goes_to_the_roots_until_an_instance_got_past_acked() {
+        let mut c = WaveCoordinator::new(4, &[0, 1], WAVE, 0);
+        hear_all(&mut c, 4, Heard::Acked);
+        assert!(matches!(c.release(), (WaveMsg::Propagate, to) if to == [0, 1]));
+        c.hear(2, Heard::Applied);
+        assert!(matches!(c.release(), (WaveMsg::ForceApply, to) if to == [0, 1, 3]));
+
+        // An exited instance never sends its ⑤ either.
+        let mut c = WaveCoordinator::new(3, &[0], WAVE, 0);
+        hear_all(&mut c, 3, Heard::Acked);
+        c.hear(0, Heard::Exited);
+        assert!(matches!(c.release(), (WaveMsg::ForceApply, to) if to == [1, 2]));
+    }
+
+    /// Windows each attempt gets, for attempts `0..=max_retries`.
+    fn schedule(deadline_windows: u64, backoff: u64) -> Vec<u64> {
+        let wave = WaveConfig {
+            deadline_windows,
+            max_retries: 3,
+            backoff,
+        };
+        let mut c = WaveCoordinator::new(1, &[0], wave, 100);
+        let mut now = 100;
+        let mut horizons = Vec::new();
+        loop {
+            assert!(!c.expired(c.deadline() - 1));
+            assert!(c.expired(c.deadline()));
+            horizons.push(c.deadline() - now);
+            now = c.deadline();
+            if !c.retry(now) {
+                return horizons;
+            }
+        }
+    }
+
+    #[test]
+    fn every_attempt_gets_deadline_times_backoff_powers_and_at_least_two_windows() {
+        assert_eq!(schedule(4, 3), [4, 12, 36, 108]);
+        assert_eq!(schedule(16, 2), [16, 32, 64, 128]);
+        assert_eq!(schedule(0, 2), [2, 2, 2, 2]);
+        assert_eq!(schedule(1, 2), [2, 2, 4, 8]);
+        assert_eq!(schedule(1, 3), [2, 3, 9, 27]);
+        assert_eq!(schedule(5, 0), [5, 5, 5, 5], "backoff 0 counts as 1");
+        let huge = u64::MAX - 100;
+        assert_eq!(schedule(u64::MAX, 2)[..1], [huge], "saturates");
+    }
+
+    #[test]
+    fn exhausted_retries_are_reported_once() {
+        let mut c = WaveCoordinator::new(1, &[0], WAVE, 0);
+        assert_eq!(c.failure(), ReconfigError::Timeout { attempt: 0 });
+        assert!(c.retry(4));
+        assert!(c.retry(16));
+        assert_eq!(c.attempt(), 2);
+        let deadline = c.deadline();
+        assert!(!c.retry(52), "max_retries = 2 spent");
+        assert!(!c.retry(60), "giving up is final");
+        assert_eq!((c.attempt(), c.deadline()), (2, deadline));
+        assert_eq!(c.failure(), ReconfigError::Timeout { attempt: 2 });
+
+        let once = WaveConfig {
+            max_retries: 0,
+            ..WAVE
+        };
+        assert!(!WaveCoordinator::new(1, &[0], once, 0).retry(4));
+    }
+
+    #[test]
+    fn a_nack_fails_the_attempt_and_the_retry_clears_it() {
+        let mut c = WaveCoordinator::new(2, &[0], WAVE, 0);
+        assert!(!c.expired(3));
+        c.nack();
+        assert!(c.expired(0));
+        assert_eq!(c.failure(), ReconfigError::Nack);
+        assert!(c.retry(1));
+        assert!(!c.expired(1));
+        assert_eq!(c.failure(), ReconfigError::Timeout { attempt: 1 });
+    }
+
+    #[test]
+    fn completion_with_an_exited_instance_is_a_nack() {
+        let mut c = WaveCoordinator::new(3, &[0], WAVE, 0);
+        assert_eq!(c.outcome(), None);
+        c.hear(0, Heard::Applied);
+        c.hear(1, Heard::Applied);
+        assert_eq!(c.outcome(), None, "instance 2 still to apply");
+        c.hear(2, Heard::Exited);
+        assert_eq!(c.outcome(), Some(Err(ReconfigError::Nack)));
+
+        let mut c = WaveCoordinator::new(2, &[0], WAVE, 0);
+        hear_all(&mut c, 2, Heard::Applied);
+        assert_eq!(c.outcome(), Some(Ok(())));
+    }
+
+    #[test]
+    fn a_reset_after_a_rollback_keeps_exits() {
+        let mut c = WaveCoordinator::new(4, &[0], WAVE, 0);
+        c.hear(0, Heard::Acked);
+        c.hear(1, Heard::Applied);
+        c.hear(2, Heard::Exited);
+        c.reset();
+        let heard = [0, 1, 2, 3].map(|idx| c.heard(idx));
+        assert_eq!(
+            heard,
+            [
+                Heard::Nothing,
+                Heard::Nothing,
+                Heard::Exited,
+                Heard::Nothing
+            ]
+        );
+        assert_eq!(c.to_stage(), vec![0, 1, 3]);
+
+        // Without exits, the retry after a reset releases from the
+        // roots again, as the first attempt did.
+        let mut c = WaveCoordinator::new(2, &[0], WAVE, 0);
+        hear_all(&mut c, 2, Heard::Applied);
+        c.reset();
+        hear_all(&mut c, 2, Heard::Acked);
+        assert!(matches!(c.release(), (WaveMsg::Propagate, to) if to == [0]));
     }
 }

@@ -1,6 +1,6 @@
 //! Seeded fault-scenario acceptance and regression tests, gated behind
 //! the `fault-injection` feature (heavier runs; CI executes them with
-//! `cargo test --features fault-injection`).
+//! `cargo test --workspace --features streamloc-engine/fault-injection`).
 //!
 //! The two acceptance scenarios of the robustness milestone:
 //!
@@ -20,8 +20,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use streamloc_engine::{
     ClusterSpec, ControlClass, CountOperator, EdgeId, FaultEvent, FaultPlan, Grouping, HashRouter,
-    Key, KeyRouter, LiveConfig, LiveReconfig, LiveRuntime, ModuloRouter, Placement, PoId,
-    ReconfigError, ReconfigPlan, SimConfig, Simulation, SourceRate, Topology, Tuple, WaveConfig,
+    Key, KeyRouter, LiveConfig, LiveReconfig, LiveRuntime, MetricsRegistry, ModuloRouter,
+    Placement, PoId, ReconfigError, ReconfigPlan, SimConfig, Simulation, SourceRate, Topology,
+    Tuple, WaveConfig,
 };
 
 const KEYS: u64 = 12;
@@ -274,6 +275,20 @@ fn live_modulo_plan(source: PoId, a: PoId, hop: EdgeId) -> LiveReconfig {
     }
 }
 
+/// A live config exporting the runtime's counters to `registry`.
+fn live_config(registry: &Arc<MetricsRegistry>) -> LiveConfig {
+    LiveConfig {
+        metrics: Some(Arc::clone(registry)),
+        ..LiveConfig::default()
+    }
+}
+
+/// Stragglers the live runtime forwarded to a key's new owner.
+fn late_forwarded(registry: &MetricsRegistry) -> u64 {
+    let snapshot: HashMap<String, u64> = registry.snapshot().into_iter().collect();
+    snapshot["live_late_forwarded_total"]
+}
+
 /// A dropped live ⑥ `MIGRATE` loses the key's state (at-most-once) but
 /// must never wedge the pipeline: the new owner adopts the orphaned
 /// key when it drains, and `join()` returns.
@@ -303,8 +318,10 @@ fn live_wave_with_dropped_migrate_still_drains() {
 }
 
 /// Lost ③ `SEND_RECONF`: the wave driver misses its first deadline,
-/// then the retry restages and force-applies — the wave still
-/// completes and conserves every tuple.
+/// then the retry restages. No instance applied or exited, so the
+/// retry releases ⑤ at the roots as the first attempt would have: the
+/// wave stays progressive, forwards no straggler, completes and
+/// conserves every tuple.
 #[test]
 fn live_wave_retries_after_lost_send_reconf() {
     // Slow enough that the stream comfortably outlives a missed
@@ -313,7 +330,8 @@ fn live_wave_retries_after_lost_send_reconf() {
     let total = 60_000u64;
     let (topo, s, a, hop) = live_chain(total, 10_000.0);
     let placement = Placement::aligned(&topo, PARALLELISM);
-    let rt = LiveRuntime::start(topo, placement, PARALLELISM, LiveConfig::default());
+    let registry = Arc::new(MetricsRegistry::new());
+    let rt = LiveRuntime::start(topo, placement, PARALLELISM, live_config(&registry));
     rt.install_fault_plan(FaultPlan::new().with(FaultEvent::DropControl {
         class: ControlClass::SendReconf,
         occurrence: 1,
@@ -333,6 +351,11 @@ fn live_wave_retries_after_lost_send_reconf() {
         .map(|r| r.processed)
         .sum();
     assert_eq!(a_processed, total);
+    assert_eq!(
+        late_forwarded(&registry),
+        0,
+        "the retry was not progressive"
+    );
 }
 
 /// Lost root ⑤ `PROPAGATE`: every `A` instance waits for a propagate
@@ -361,7 +384,8 @@ fn live_wave_recovers_from_lost_root_propagate() {
     let hop = b.connect(s, a, Grouping::fields(0));
     let topo = b.build().unwrap();
     let placement = Placement::aligned(&topo, PARALLELISM);
-    let rt = LiveRuntime::start(topo, placement, PARALLELISM, LiveConfig::default());
+    let registry = Arc::new(MetricsRegistry::new());
+    let rt = LiveRuntime::start(topo, placement, PARALLELISM, live_config(&registry));
     rt.install_fault_plan(FaultPlan::new().with(FaultEvent::DropControl {
         class: ControlClass::Propagate,
         occurrence: 0,
@@ -398,6 +422,9 @@ fn live_wave_recovers_from_lost_root_propagate() {
         counted, expected,
         "per-key counts at A diverged from the stream"
     );
+    // The old-routed stage reached A after it applied: the forwarding
+    // path above really ran.
+    assert!(late_forwarded(&registry) > 0, "no straggler was forwarded");
 }
 
 /// An injected ③ `SEND_RECONF` delay must be honored to its configured
@@ -484,8 +511,6 @@ fn live_delayed_propagate_to_dead_root_nacks_fast() {
 /// A or B or sits in `live_batch_dropped_tuples_total`.
 #[test]
 fn live_batch_drop_drains_and_accounts_for_every_tuple() {
-    use streamloc_engine::MetricsRegistry;
-
     let total = 60_000u64;
     let (topo, _s, a, _hop) = live_chain(total, 50_000.0);
     let placement = Placement::aligned(&topo, PARALLELISM);
